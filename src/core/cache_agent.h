@@ -85,19 +85,24 @@ struct CacheAgentOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// Snapshot view over the agent's `ofc.cache_agent.*` registry cells.
+// The agent's plain counters: X(view field, registry family). See "Counter
+// lists" in src/obs/metrics.h.
+#define OFC_CACHE_AGENT_COUNTERS(X)                                                               \
+  X(scale_ups, "ofc.cache_agent.scale_ups")                                                       \
+  X(scale_downs_plain, "ofc.cache_agent.scale_downs_plain") /* No eviction, no migration. */      \
+  X(scale_downs_migration, "ofc.cache_agent.scale_downs_migration") /* Required migration. */     \
+  X(scale_downs_eviction, "ofc.cache_agent.scale_downs_eviction") /* Required object eviction. */ \
+  X(objects_migrated, "ofc.cache_agent.objects_migrated")                                         \
+  X(objects_evicted, "ofc.cache_agent.objects_evicted")                                           \
+  X(objects_swept, "ofc.cache_agent.objects_swept")                                               \
+  X(writebacks_triggered, "ofc.cache_agent.writebacks_triggered")                                 \
+  X(writebacks_throttled, "ofc.cache_agent.writebacks_throttled") /* Queued over the budget. */
+
+// Snapshot view over the agent's registry cells.
 struct CacheScalingStats {
-  std::uint64_t scale_ups = 0;
+  OFC_COUNTER_FIELDS(OFC_CACHE_AGENT_COUNTERS)
   SimDuration scale_up_time = 0;
-  std::uint64_t scale_downs_plain = 0;      // No eviction, no migration.
-  std::uint64_t scale_downs_migration = 0;  // Required master migration.
-  std::uint64_t scale_downs_eviction = 0;   // Required object eviction.
   SimDuration scale_down_time = 0;
-  std::uint64_t objects_migrated = 0;
-  std::uint64_t objects_evicted = 0;
-  std::uint64_t objects_swept = 0;
-  std::uint64_t writebacks_triggered = 0;
-  std::uint64_t writebacks_throttled = 0;  // Queued behind the in-flight budget.
 };
 
 class CacheAgent {
@@ -142,7 +147,6 @@ class CacheAgent {
   Bytes CapacityTarget(int worker) const;
   // Assembled on demand from the metrics registry.
   CacheScalingStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
  private:
@@ -150,15 +154,7 @@ class CacheAgent {
   // in gauges (micros, Add()ed) so the snapshot reconstructs SimDuration
   // exactly; migration latencies additionally feed a percentile series.
   struct Metrics {
-    obs::Counter* scale_ups = nullptr;
-    obs::Counter* scale_downs_plain = nullptr;
-    obs::Counter* scale_downs_migration = nullptr;
-    obs::Counter* scale_downs_eviction = nullptr;
-    obs::Counter* objects_migrated = nullptr;
-    obs::Counter* objects_evicted = nullptr;
-    obs::Counter* objects_swept = nullptr;
-    obs::Counter* writebacks_triggered = nullptr;
-    obs::Counter* writebacks_throttled = nullptr;
+    OFC_COUNTER_CELLS(OFC_CACHE_AGENT_COUNTERS, CacheScalingStats)
     obs::Gauge* scale_up_time_us = nullptr;
     obs::Gauge* scale_down_time_us = nullptr;
     obs::Series* migration_ms = nullptr;

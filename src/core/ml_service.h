@@ -53,15 +53,13 @@ struct Prediction {
 
 class Predictor {
  public:
-  // `metrics` (optional): registers `ofc.predictor.model_predictions` /
-  // `ofc.predictor.booked_fallbacks`, bumped per Predict() call.
-  explicit Predictor(ModelRegistry* registry, obs::MetricsRegistry* metrics = nullptr)
-      : registry_(registry) {
-    if (metrics != nullptr) {
-      model_predictions_ = metrics->GetCounter("ofc.predictor.model_predictions");
-      booked_fallbacks_ = metrics->GetCounter("ofc.predictor.booked_fallbacks");
-    }
-  }
+  // `model_predictions` / `booked_fallbacks` (optional): cells bumped per
+  // Predict() call; OfcSystem hands in the cells of its counter list.
+  explicit Predictor(ModelRegistry* registry, obs::Counter* model_predictions = nullptr,
+                     obs::Counter* booked_fallbacks = nullptr)
+      : registry_(registry),
+        model_predictions_(model_predictions),
+        booked_fallbacks_(booked_fallbacks) {}
 
   // Critical-path prediction. Falls back to `booked` until the function's
   // model is mature (§5.3.1); the benefit model is subordinated to the memory
@@ -72,8 +70,8 @@ class Predictor {
 
  private:
   ModelRegistry* registry_;
-  obs::Counter* model_predictions_ = nullptr;  // Null when metrics not wired.
-  obs::Counter* booked_fallbacks_ = nullptr;
+  obs::Counter* model_predictions_;  // Null when metrics not wired.
+  obs::Counter* booked_fallbacks_;
 };
 
 class ModelTrainer {

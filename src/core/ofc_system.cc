@@ -69,8 +69,9 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
       owned_metrics_(options.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
                                                 : nullptr),
       metrics_(options.metrics != nullptr ? options.metrics : owned_metrics_.get()),
+      m_(BindMetrics(*metrics_)),
       registry_(options.model),
-      predictor_(&registry_, metrics_),
+      predictor_(&registry_, m_.model_predictions, m_.booked_fallbacks),
       trainer_(&registry_, options.rsds_estimate, metrics_),
       policy_engine_(MakePolicyEngine(options, &registry_, metrics_)),
       cache_agent_(loop, cluster,
@@ -80,10 +81,6 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
       proxy_(loop, cluster, rsds,
              WithPolicy(WithObs(options.proxy, metrics_, options.trace, options.flight),
                         policy_engine_.get())) {
-  m_.model_predictions = metrics_->GetCounter("ofc.predictor.model_predictions");
-  m_.booked_fallbacks = metrics_->GetCounter("ofc.predictor.booked_fallbacks");
-  m_.good_predictions = metrics_->GetCounter("ofc.predictor.good_predictions");
-  m_.bad_predictions = metrics_->GetCounter("ofc.predictor.bad_predictions");
   cache_agent_.set_writeback([this](const std::string& key, std::function<void(Status)> done) {
     proxy_.Writeback(key, std::move(done));
   });
@@ -99,22 +96,16 @@ void OfcSystem::Start() {
   proxy_.InstallWebhooks();
 }
 
-OfcPredictionStats OfcSystem::prediction_stats() const {
-  OfcPredictionStats stats;
-  stats.model_predictions = m_.model_predictions->value();
-  stats.booked_fallbacks = m_.booked_fallbacks->value();
-  stats.good_predictions = m_.good_predictions->value();
-  stats.bad_predictions = m_.bad_predictions->value();
-  return stats;
+OfcSystem::Metrics OfcSystem::BindMetrics(obs::MetricsRegistry& registry) {
+  Metrics m;
+  m.BindCounters(registry);
+  return m;
 }
 
-void OfcSystem::ResetStats() {
-  m_.model_predictions->Reset();
-  m_.booked_fallbacks->Reset();
-  m_.good_predictions->Reset();
-  m_.bad_predictions->Reset();
-  proxy_.ResetStats();
-  cache_agent_.ResetStats();
+OfcPredictionStats OfcSystem::prediction_stats() const {
+  OfcPredictionStats stats;
+  m_.CopyCounters(stats);
+  return stats;
 }
 
 faas::PlatformHooks::Sizing OfcSystem::SizeInvocation(

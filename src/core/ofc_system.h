@@ -52,12 +52,17 @@ struct OfcOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// Snapshot view over the `ofc.predictor.*` registry counters.
+// The prediction counters: X(view field, registry family). See "Counter
+// lists" in src/obs/metrics.h.
+#define OFC_PREDICTION_COUNTERS(X)                                                                 \
+  X(model_predictions, "ofc.predictor.model_predictions") /* Sized from a mature model. */         \
+  X(booked_fallbacks, "ofc.predictor.booked_fallbacks") /* Immature model: tenant booking used. */ \
+  X(good_predictions, "ofc.predictor.good_predictions") /* Completed within the predicted size. */ \
+  X(bad_predictions, "ofc.predictor.bad_predictions") /* Needed a rescue or an OOM retry. */
+
+// Snapshot view over the prediction counters.
 struct OfcPredictionStats {
-  std::uint64_t model_predictions = 0;  // Sized from a mature model.
-  std::uint64_t booked_fallbacks = 0;   // Immature model: tenant booking used.
-  std::uint64_t good_predictions = 0;   // Completed within the predicted size.
-  std::uint64_t bad_predictions = 0;    // Needed a rescue or an OOM retry.
+  OFC_COUNTER_FIELDS(OFC_PREDICTION_COUNTERS)
 };
 
 class OfcSystem : public faas::PlatformHooks {
@@ -92,7 +97,6 @@ class OfcSystem : public faas::PlatformHooks {
   CachePolicyEngine& policy_engine() { return *policy_engine_; }
   // Assembled on demand from the metrics registry.
   OfcPredictionStats prediction_stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // ---- faas::PlatformHooks -------------------------------------------------------
@@ -116,13 +120,11 @@ class OfcSystem : public faas::PlatformHooks {
 
  private:
   // Registry cells behind OfcPredictionStats. The Predictor bumps the first two
-  // itself (shared registry); the system judges good/bad on completion.
+  // through the cells handed to it; the system judges good/bad on completion.
   struct Metrics {
-    obs::Counter* model_predictions = nullptr;
-    obs::Counter* booked_fallbacks = nullptr;
-    obs::Counter* good_predictions = nullptr;
-    obs::Counter* bad_predictions = nullptr;
+    OFC_COUNTER_CELLS(OFC_PREDICTION_COUNTERS, OfcPredictionStats)
   };
+  static Metrics BindMetrics(obs::MetricsRegistry& registry);
 
   rc::Cluster* cluster_;
   OfcOptions options_;
@@ -130,6 +132,7 @@ class OfcSystem : public faas::PlatformHooks {
   // their constructors.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
+  Metrics m_;  // Bound before the Predictor, which is handed two of its cells.
   ModelRegistry registry_;
   Predictor predictor_;
   ModelTrainer trainer_;
@@ -137,7 +140,6 @@ class OfcSystem : public faas::PlatformHooks {
   std::unique_ptr<CachePolicyEngine> policy_engine_;
   CacheAgent cache_agent_;
   Proxy proxy_;
-  Metrics m_;
 };
 
 }  // namespace ofc::core

@@ -98,36 +98,41 @@ struct ProxyOptions {
   CachePolicyEngine* policy = nullptr;
 };
 
-// Snapshot view over the proxy's `ofc.proxy.*` registry counters.
+// The proxy's plain counters: X(view field, registry family). See "Counter
+// lists" in src/obs/metrics.h.
+#define OFC_PROXY_COUNTERS(X)                                                                   \
+  X(cache_hits, "ofc.proxy.cache_hits")                                                         \
+  X(cache_misses, "ofc.proxy.cache_misses")                                                     \
+  X(admissions, "ofc.proxy.admissions")                                                         \
+  X(admission_failures, "ofc.proxy.admission_failures")                                         \
+  X(shadow_writes, "ofc.proxy.shadow_writes")                                                   \
+  X(cached_writes, "ofc.proxy.cached_writes")                                                   \
+  X(direct_writes, "ofc.proxy.direct_writes")                                                   \
+  X(persistor_runs, "ofc.proxy.persistor_runs")                                                 \
+  X(persistor_conflicts, "ofc.proxy.persistor_conflicts") /* Out-of-order pushes skipped. */    \
+  X(intermediates_cached, "ofc.proxy.intermediates_cached")                                     \
+  X(intermediates_dropped, "ofc.proxy.intermediates_dropped")                                   \
+  X(external_read_boosts, "ofc.proxy.external_read_boosts")                                     \
+  X(external_write_invalidations, "ofc.proxy.external_write_invalidations")                     \
+  X(fallback_writes, "ofc.proxy.fallback_writes") /* Acked from the cache during an outage. */  \
+  X(rsds_retries, "ofc.proxy.rsds_retries") /* Read-path retries after kUnavailable. */         \
+  X(read_deadlines, "ofc.proxy.read_deadlines") /* Reads that exhausted the retry budget. */    \
+  X(persistor_retries, "ofc.proxy.persistor_retries") /* Re-dispatched persistor pushes. */     \
+  X(persistor_drops, "ofc.proxy.persistor_drops") /* Dispatches lost to fault injection. */     \
+  X(persistor_abandons, "ofc.proxy.persistor_abandons") /* Out of retries (stays dirty). */     \
+  X(breaker_opens, "ofc.breaker.opens") /* Closed/half-open -> open trips. */                   \
+  X(breaker_closes, "ofc.breaker.closes") /* Half-open -> closed recoveries. */                 \
+  X(breaker_probes, "ofc.breaker.probes") /* Operations admitted half-open. */                  \
+  X(breaker_probe_failures, "ofc.breaker.probe_failures") /* Probes that re-opened it. */       \
+  X(breaker_bypassed_reads, "ofc.breaker.bypassed_reads") /* Served RSDS-direct while open. */  \
+  X(breaker_bypassed_writes, "ofc.breaker.bypassed_writes") /* Sent RSDS-direct while open. */  \
+  X(admission_deferred, "ofc.overload.admission_deferred") /* Skipped under memory pressure. */ \
+  X(corrupt_acked, "ofc.integrity.corrupt_acked") /* I6 tripwire: must stay 0 forever. */       \
+  X(reread_from_rsds, "ofc.integrity.reread_from_rsds") /* Cache loss healed via RSDS. */
+
+// Snapshot view over the proxy's registry counters.
 struct ProxyStats {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t admissions = 0;
-  std::uint64_t admission_failures = 0;
-  std::uint64_t shadow_writes = 0;
-  std::uint64_t cached_writes = 0;
-  std::uint64_t direct_writes = 0;
-  std::uint64_t persistor_runs = 0;
-  std::uint64_t persistor_conflicts = 0;  // Out-of-order pushes skipped.
-  std::uint64_t intermediates_cached = 0;
-  std::uint64_t intermediates_dropped = 0;
-  std::uint64_t external_read_boosts = 0;
-  std::uint64_t external_write_invalidations = 0;
-  std::uint64_t fallback_writes = 0;       // Acked from the cache during an outage.
-  std::uint64_t rsds_retries = 0;          // Read-path retries after kUnavailable.
-  std::uint64_t read_deadlines = 0;        // Reads that exhausted the retry budget.
-  std::uint64_t persistor_retries = 0;     // Re-dispatched persistor pushes.
-  std::uint64_t persistor_drops = 0;       // Dispatches lost to fault injection.
-  std::uint64_t persistor_abandons = 0;    // Retry budget exhausted (stays dirty).
-  std::uint64_t breaker_opens = 0;           // Closed/half-open -> open trips.
-  std::uint64_t breaker_closes = 0;          // Half-open -> closed recoveries.
-  std::uint64_t breaker_probes = 0;          // Operations admitted half-open.
-  std::uint64_t breaker_probe_failures = 0;  // Probes that re-opened the breaker.
-  std::uint64_t breaker_bypassed_reads = 0;  // Reads served RSDS-direct while open.
-  std::uint64_t breaker_bypassed_writes = 0; // Writes sent RSDS-direct while open.
-  std::uint64_t admission_deferred = 0;      // Admissions skipped under memory pressure.
-  std::uint64_t corrupt_acked = 0;           // I6 tripwire: must stay 0 forever.
-  std::uint64_t reread_from_rsds = 0;        // Cache data loss healed via RSDS re-read.
+  OFC_COUNTER_FIELDS(OFC_PROXY_COUNTERS)
 
   double HitRatio() const {
     const double total = static_cast<double>(cache_hits + cache_misses);
@@ -196,40 +201,12 @@ class Proxy : public faas::DataService {
 
   // Assembled on demand from the metrics registry.
   ProxyStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
  private:
   // Registry cells behind ProxyStats; bumped through cached pointers.
   struct Metrics {
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* admissions = nullptr;
-    obs::Counter* admission_failures = nullptr;
-    obs::Counter* shadow_writes = nullptr;
-    obs::Counter* cached_writes = nullptr;
-    obs::Counter* direct_writes = nullptr;
-    obs::Counter* persistor_runs = nullptr;
-    obs::Counter* persistor_conflicts = nullptr;
-    obs::Counter* intermediates_cached = nullptr;
-    obs::Counter* intermediates_dropped = nullptr;
-    obs::Counter* external_read_boosts = nullptr;
-    obs::Counter* external_write_invalidations = nullptr;
-    obs::Counter* fallback_writes = nullptr;
-    obs::Counter* rsds_retries = nullptr;
-    obs::Counter* read_deadlines = nullptr;
-    obs::Counter* persistor_retries = nullptr;
-    obs::Counter* persistor_drops = nullptr;
-    obs::Counter* persistor_abandons = nullptr;
-    obs::Counter* breaker_opens = nullptr;
-    obs::Counter* breaker_closes = nullptr;
-    obs::Counter* breaker_probes = nullptr;
-    obs::Counter* breaker_probe_failures = nullptr;
-    obs::Counter* breaker_bypassed_reads = nullptr;
-    obs::Counter* breaker_bypassed_writes = nullptr;
-    obs::Counter* admission_deferred = nullptr;
-    obs::Counter* corrupt_acked = nullptr;
-    obs::Counter* reread_from_rsds = nullptr;
+    OFC_COUNTER_CELLS(OFC_PROXY_COUNTERS, ProxyStats)
     obs::Gauge* breaker_state = nullptr;        // 0 closed / 1 open / 2 half-open.
     obs::Gauge* breaker_open_time_us = nullptr; // Cumulative open time (on exit).
     obs::Series* persistor_ms = nullptr;  // Dispatch to RSDS-converged latency.
@@ -340,8 +317,7 @@ class Proxy : public faas::DataService {
   SimTime breaker_opened_at_ = 0;
   AdmissionGate admission_gate_;
   Metrics m_;
-  // Ordered: ResetStats() and future per-function exports iterate this map, so
-  // its order must not depend on hashing.
+  // Node-based, so the cell pointers cached in fn_metrics_by_index_ stay valid.
   std::map<std::string, FnMetrics> fn_metrics_;
   std::vector<IndexedFnCells> fn_metrics_by_index_;  // ctx.fn_index fast path.
   // Intermediate objects written per in-flight pipeline (§6.3 cleanup). Looked

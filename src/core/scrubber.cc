@@ -13,11 +13,7 @@ Scrubber::Scrubber(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStor
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  cycles_ = metrics_->GetCounter("ofc.scrub.cycles");
-  objects_scanned_ = metrics_->GetCounter("ofc.scrub.objects_scanned");
-  corruptions_found_ = metrics_->GetCounter("ofc.scrub.corruptions_found");
-  repairs_ = metrics_->GetCounter("ofc.scrub.repairs");
-  quarantines_ = metrics_->GetCounter("ofc.scrub.quarantines");
+  m_.BindCounters(*metrics_);
   task_ = std::make_unique<sim::PeriodicTask>(loop_, options_.interval,
                                               [this](SimTime) { Tick(); });
 }
@@ -28,11 +24,7 @@ void Scrubber::Stop() { task_->Stop(); }
 
 ScrubberStats Scrubber::stats() const {
   ScrubberStats stats;
-  stats.cycles = cycles_->value();
-  stats.objects_scanned = objects_scanned_->value();
-  stats.corruptions_found = corruptions_found_->value();
-  stats.repairs = repairs_->value();
-  stats.quarantines = quarantines_->value();
+  m_.CopyCounters(stats);
   return stats;
 }
 
@@ -49,13 +41,13 @@ void Scrubber::ScrubClusterSlice() {
                                  : static_cast<std::size_t>(options_.objects_per_cycle);
   const std::vector<std::string> keys = cluster_->KeysAfter(cluster_cursor_, budget);
   for (const std::string& key : keys) {
-    ++*objects_scanned_;
+    ++*m_.objects_scanned;
     NoteCorruptCopies(cluster_->ScrubObject(key));
     cluster_cursor_ = key;
   }
   if (keys.size() < budget || budget == 0) {
     // Reached the end of the keyspace: one full pass done, wrap around.
-    ++*cycles_;
+    ++*m_.cycles;
     cluster_cursor_.clear();
   }
 }
@@ -67,10 +59,10 @@ void Scrubber::ScrubStoreSlice() {
   auto it = std::upper_bound(keys.begin(), keys.end(), store_cursor_);
   int scanned = 0;
   for (; it != keys.end() && scanned < options_.objects_per_cycle; ++it, ++scanned) {
-    ++*objects_scanned_;
+    ++*m_.objects_scanned;
     const int repaired = rsds_->ScrubKey(*it);
-    corruptions_found_->Add(static_cast<std::uint64_t>(repaired));
-    repairs_->Add(static_cast<std::uint64_t>(repaired));
+    m_.corruptions_found->Add(static_cast<std::uint64_t>(repaired));
+    m_.repairs->Add(static_cast<std::uint64_t>(repaired));
     store_cursor_ = *it;
   }
   if (it == keys.end()) {
@@ -79,8 +71,8 @@ void Scrubber::ScrubStoreSlice() {
 }
 
 void Scrubber::NoteCorruptCopies(const rc::Cluster::ScrubResult& result) {
-  corruptions_found_->Add(static_cast<std::uint64_t>(result.corrupt_copies));
-  repairs_->Add(static_cast<std::uint64_t>(result.corrupt_copies));
+  m_.corruptions_found->Add(static_cast<std::uint64_t>(result.corrupt_copies));
+  m_.repairs->Add(static_cast<std::uint64_t>(result.corrupt_copies));
   if (options_.quarantine_threshold <= 0) {
     return;
   }
@@ -97,7 +89,7 @@ void Scrubber::NoteCorruptCopies(const rc::Cluster::ScrubResult& result) {
       continue;
     }
     (void)cluster_->QuarantineNode(node);
-    ++*quarantines_;
+    ++*m_.quarantines;
     node_corruption_[node] = 0;  // Fresh ledger if the node ever rejoins.
   }
 }

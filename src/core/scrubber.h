@@ -46,13 +46,18 @@ struct ScrubberOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Snapshot view over the scrubber's `ofc.scrub.*` registry counters.
+// The scrubber's plain counters: X(view field, registry family). See
+// "Counter lists" in src/obs/metrics.h.
+#define OFC_SCRUBBER_COUNTERS(X)                                                            \
+  X(cycles, "ofc.scrub.cycles") /* Full passes completed over the cluster. */               \
+  X(objects_scanned, "ofc.scrub.objects_scanned") /* Objects verified (cluster + store). */ \
+  X(corruptions_found, "ofc.scrub.corruptions_found") /* Corrupt copies detected. */        \
+  X(repairs, "ofc.scrub.repairs") /* Corrupt copies repaired. */                            \
+  X(quarantines, "ofc.scrub.quarantines") /* Nodes drained for crossing the threshold. */
+
+// Snapshot view over the scrubber's registry counters.
 struct ScrubberStats {
-  std::uint64_t cycles = 0;             // Full passes completed over the cluster.
-  std::uint64_t objects_scanned = 0;    // Objects verified (cluster + store).
-  std::uint64_t corruptions_found = 0;  // Corrupt copies detected.
-  std::uint64_t repairs = 0;            // Corrupt copies repaired.
-  std::uint64_t quarantines = 0;        // Nodes drained for crossing the threshold.
+  OFC_COUNTER_FIELDS(OFC_SCRUBBER_COUNTERS)
 };
 
 class Scrubber {
@@ -88,11 +93,10 @@ class Scrubber {
   // Corrupt copies found per node since its last quarantine. Ordered so the
   // threshold check never depends on hash iteration order.
   std::map<int, int> node_corruption_;
-  obs::Counter* cycles_ = nullptr;
-  obs::Counter* objects_scanned_ = nullptr;
-  obs::Counter* corruptions_found_ = nullptr;
-  obs::Counter* repairs_ = nullptr;
-  obs::Counter* quarantines_ = nullptr;
+  struct Metrics {
+    OFC_COUNTER_CELLS(OFC_SCRUBBER_COUNTERS, ScrubberStats)
+  };
+  Metrics m_;
 };
 
 }  // namespace ofc::core

@@ -63,20 +63,7 @@ Platform::Platform(sim::EventLoop* loop, PlatformOptions options, DataService* d
   }
   trace_ = options_.trace;
   flight_ = options_.flight;
-  m_.invocations = metrics_->GetCounter("ofc.platform.invocations");
-  m_.cold_starts = metrics_->GetCounter("ofc.platform.cold_starts");
-  m_.warm_starts = metrics_->GetCounter("ofc.platform.warm_starts");
-  m_.oom_kills = metrics_->GetCounter("ofc.platform.oom_kills");
-  m_.oom_rescues = metrics_->GetCounter("ofc.platform.oom_rescues");
-  m_.failed_invocations = metrics_->GetCounter("ofc.platform.failed_invocations");
-  m_.retries = metrics_->GetCounter("ofc.platform.retries");
-  m_.sandbox_reclaims = metrics_->GetCounter("ofc.platform.sandbox_reclaims");
-  m_.queued_requests = metrics_->GetCounter("ofc.platform.queued_requests");
-  m_.worker_crashes = metrics_->GetCounter("ofc.platform.worker_crashes");
-  m_.worker_restores = metrics_->GetCounter("ofc.platform.worker_restores");
-  m_.crash_retries = metrics_->GetCounter("ofc.platform.crash_retries");
-  m_.input_bytes = metrics_->GetCounter("ofc.platform.input_bytes");
-  m_.output_bytes = metrics_->GetCounter("ofc.platform.output_bytes");
+  m_.BindCounters(*metrics_);
   m_.shed_queue_full = metrics_->GetCounter("ofc.overload.shed", "queue_full");
   m_.shed_deadline = metrics_->GetCounter("ofc.overload.shed", "deadline");
   m_.queue_wait_ms = metrics_->GetSeries("ofc.platform.queue_wait_ms");
@@ -120,50 +107,9 @@ Platform::FnMetrics& Platform::FnMetricsAt(std::uint32_t fn_index, const std::st
 
 PlatformStats Platform::stats() const {
   PlatformStats stats;
-  stats.invocations = m_.invocations->value();
-  stats.cold_starts = m_.cold_starts->value();
-  stats.warm_starts = m_.warm_starts->value();
-  stats.oom_kills = m_.oom_kills->value();
-  stats.oom_rescues = m_.oom_rescues->value();
-  stats.failed_invocations = m_.failed_invocations->value();
-  stats.retries = m_.retries->value();
-  stats.sandbox_reclaims = m_.sandbox_reclaims->value();
-  stats.queued_requests = m_.queued_requests->value();
-  stats.worker_crashes = m_.worker_crashes->value();
-  stats.worker_restores = m_.worker_restores->value();
-  stats.crash_retries = m_.crash_retries->value();
+  m_.CopyCounters(stats);
   stats.shed_requests = m_.shed_queue_full->value() + m_.shed_deadline->value();
   return stats;
-}
-
-void Platform::ResetStats() {
-  m_.invocations->Reset();
-  m_.cold_starts->Reset();
-  m_.warm_starts->Reset();
-  m_.oom_kills->Reset();
-  m_.oom_rescues->Reset();
-  m_.failed_invocations->Reset();
-  m_.retries->Reset();
-  m_.sandbox_reclaims->Reset();
-  m_.queued_requests->Reset();
-  m_.worker_crashes->Reset();
-  m_.worker_restores->Reset();
-  m_.crash_retries->Reset();
-  m_.input_bytes->Reset();
-  m_.output_bytes->Reset();
-  m_.shed_queue_full->Reset();
-  m_.shed_deadline->Reset();
-  m_.queue_wait_ms->Reset();
-  m_.startup_ms->Reset();
-  m_.extract_ms->Reset();
-  m_.transform_ms->Reset();
-  m_.load_ms->Reset();
-  m_.total_ms->Reset();
-  for (auto& [function, cells] : fn_metrics_) {
-    cells.invocations->Reset();
-    cells.cold_starts->Reset();
-    cells.total_ms->Reset();
-  }
 }
 
 // Phase latencies and per-function breakdowns, recorded for every terminal

@@ -233,22 +233,29 @@ class PlatformHooks {
                                     const InvocationRecord& record);
 };
 
-// Snapshot view over the platform's `ofc.platform.*` registry counters (the
-// registry is the source of truth; this struct exists for test/bench
-// compatibility and human-readable summaries).
+// The platform's plain counters: X(view field, registry family). See
+// "Counter lists" in src/obs/metrics.h.
+#define OFC_PLATFORM_COUNTERS(X)                                                                  \
+  X(invocations, "ofc.platform.invocations")                                                      \
+  X(cold_starts, "ofc.platform.cold_starts")                                                      \
+  X(warm_starts, "ofc.platform.warm_starts")                                                      \
+  X(oom_kills, "ofc.platform.oom_kills")                                                          \
+  X(oom_rescues, "ofc.platform.oom_rescues")                                                      \
+  X(failed_invocations, "ofc.platform.failed_invocations")                                        \
+  X(retries, "ofc.platform.retries")                                                              \
+  X(sandbox_reclaims, "ofc.platform.sandbox_reclaims") /* Idle sandboxes evicted for capacity. */ \
+  X(queued_requests, "ofc.platform.queued_requests")                                              \
+  X(worker_crashes, "ofc.platform.worker_crashes")                                                \
+  X(worker_restores, "ofc.platform.worker_restores")                                              \
+  X(crash_retries, "ofc.platform.crash_retries") /* Invocations re-dispatched after a crash. */   \
+  X(input_bytes, "ofc.platform.input_bytes")                                                      \
+  X(output_bytes, "ofc.platform.output_bytes")
+
+// Snapshot view over the platform's registry counters (the registry is the
+// source of truth; this struct exists for test/bench compatibility and
+// human-readable summaries).
 struct PlatformStats {
-  std::uint64_t invocations = 0;
-  std::uint64_t cold_starts = 0;
-  std::uint64_t warm_starts = 0;
-  std::uint64_t oom_kills = 0;
-  std::uint64_t oom_rescues = 0;
-  std::uint64_t failed_invocations = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t sandbox_reclaims = 0;  // Idle sandboxes evicted for capacity.
-  std::uint64_t queued_requests = 0;
-  std::uint64_t worker_crashes = 0;
-  std::uint64_t worker_restores = 0;
-  std::uint64_t crash_retries = 0;  // Invocations re-dispatched after a crash.
+  OFC_COUNTER_FIELDS(OFC_PLATFORM_COUNTERS)
   std::uint64_t shed_requests = 0;  // Rejected by overload protection.
 };
 
@@ -298,7 +305,6 @@ class Platform {
   std::size_t NumIdleSandboxes(const std::string& function) const;
   // Assembled on demand from the metrics registry.
   PlatformStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // Aggregate media descriptor for demand evaluation over multiple inputs; also
@@ -347,20 +353,7 @@ class Platform {
   // Registry cells behind PlatformStats plus the phase-latency series; bumped
   // on the hot path through cached pointers.
   struct Metrics {
-    obs::Counter* invocations = nullptr;
-    obs::Counter* cold_starts = nullptr;
-    obs::Counter* warm_starts = nullptr;
-    obs::Counter* oom_kills = nullptr;
-    obs::Counter* oom_rescues = nullptr;
-    obs::Counter* failed_invocations = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* sandbox_reclaims = nullptr;
-    obs::Counter* queued_requests = nullptr;
-    obs::Counter* worker_crashes = nullptr;
-    obs::Counter* worker_restores = nullptr;
-    obs::Counter* crash_retries = nullptr;
-    obs::Counter* input_bytes = nullptr;
-    obs::Counter* output_bytes = nullptr;
+    OFC_COUNTER_CELLS(OFC_PLATFORM_COUNTERS, PlatformStats)
     obs::Counter* shed_queue_full = nullptr;  // ofc.overload.shed{queue_full}
     obs::Counter* shed_deadline = nullptr;    // ofc.overload.shed{deadline}
     obs::Series* queue_wait_ms = nullptr;     // Wait-queue residence on dispatch/shed.
@@ -450,8 +443,6 @@ class Platform {
   obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   Metrics m_;
-  // Ordered: ResetStats() and future per-function exports iterate this map, so
-  // its order must not depend on hashing.
   std::map<std::string, FnMetrics> fn_metrics_;
   // fn_index → cell pointers (stable: fn_metrics_ is a node-based map).
   std::vector<FnMetrics*> fn_metrics_by_index_;

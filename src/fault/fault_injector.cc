@@ -1,5 +1,6 @@
 #include "src/fault/fault_injector.h"
 
+#include <optional>
 #include <string>
 
 #include "src/common/logging.h"
@@ -16,8 +17,7 @@ FaultInjector::FaultInjector(sim::EventLoop* loop, FaultInjectorTargets targets,
   }
   trace_ = options.trace;
   flight_ = options.flight;
-  injected_ = metrics_->GetCounter("ofc.fault.injected");
-  healed_ = metrics_->GetCounter("ofc.fault.healed");
+  m_.BindCounters(*metrics_);
   active_ = metrics_->GetGauge("ofc.fault.active");
   if (trace_ != nullptr) {
     trace_->SetProcessName(obs::kPidFaults, "fault-injector");
@@ -26,8 +26,7 @@ FaultInjector::FaultInjector(sim::EventLoop* loop, FaultInjectorTargets targets,
 
 FaultStats FaultInjector::stats() const {
   FaultStats stats;
-  stats.injected = injected_->value();
-  stats.healed = healed_->value();
+  m_.CopyCounters(stats);
   return stats;
 }
 
@@ -101,7 +100,7 @@ void FaultInjector::TraceFault(const FaultEvent& event, const char* phase) {
 
 void FaultInjector::Fire(const FaultEvent& event) {
   const std::uint64_t fault_id = next_fault_id_++;
-  ++*injected_;
+  ++*m_.injected;
   metrics_->GetCounter("ofc.fault.injected_by_kind",
                        std::string(FaultKindName(event.kind)))
       ->Add(1);
@@ -111,6 +110,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kFaultInject, 0, fault_id,
                     event.target, std::string(FaultKindName(event.kind)));
   }
+  std::optional<int> corrupted;  // Objects damaged, for the corruption kinds.
   switch (event.kind) {
     case FaultKind::kWorkerCrash:
       if (++worker_crash_depth_[event.target] == 1) {
@@ -150,23 +150,22 @@ void FaultInjector::Fire(const FaultEvent& event) {
       targets_.rsds->SetWebhooksEnabled(false);
       break;
     case FaultKind::kCorruptReplica:
-      metrics_->GetCounter("ofc.fault.objects_corrupted")
-          ->Add(static_cast<std::uint64_t>(targets_.cluster->CorruptReplica(
-              event.target, static_cast<int>(event.severity))));
+      corrupted = targets_.cluster->CorruptReplica(event.target,
+                                                   static_cast<int>(event.severity));
       break;
     case FaultKind::kCorruptSegment:
-      metrics_->GetCounter("ofc.fault.objects_corrupted")
-          ->Add(static_cast<std::uint64_t>(targets_.cluster->CorruptSegment(
-              event.target, static_cast<int>(event.severity))));
+      corrupted = targets_.cluster->CorruptSegment(event.target,
+                                                   static_cast<int>(event.severity));
       break;
     case FaultKind::kStoreRot:
-      metrics_->GetCounter("ofc.fault.objects_corrupted")
-          ->Add(static_cast<std::uint64_t>(
-              targets_.rsds->Rot(static_cast<int>(event.severity))));
+      corrupted = targets_.rsds->Rot(static_cast<int>(event.severity));
       break;
   }
-  if (event.kind == FaultKind::kCorruptReplica ||
-      event.kind == FaultKind::kCorruptSegment || event.kind == FaultKind::kStoreRot) {
+  if (corrupted.has_value()) {
+    // Registered on the first corruption, so un-faulted runs export no
+    // zero-valued family.
+    metrics_->GetCounter("ofc.fault.objects_corrupted")
+        ->Add(static_cast<std::uint64_t>(*corrupted));
     // Corruption fires and completes in the same instant — the damage outlives
     // the event, but there is no open window for `ofc.fault.active` to track.
     active_->Add(-1.0);
@@ -177,7 +176,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
 }
 
 void FaultInjector::Heal(const FaultEvent& event, std::uint64_t fault_id) {
-  ++*healed_;
+  ++*m_.healed;
   active_->Add(-1.0);
   TraceFault(event, "heal");
   if (FlightOn()) {

@@ -49,10 +49,15 @@ struct FaultInjectorOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// Snapshot view over the injector's `ofc.fault.*` registry counters.
+// The injector's plain counters: X(view field, registry family). See
+// "Counter lists" in src/obs/metrics.h.
+#define OFC_FAULT_COUNTERS(X)                            \
+  X(injected, "ofc.fault.injected") /* Faults fired. */  \
+  X(healed, "ofc.fault.healed") /* Heal events fired. */
+
+// Snapshot view over the injector's registry counters.
 struct FaultStats {
-  std::uint64_t injected = 0;  // Faults fired.
-  std::uint64_t healed = 0;    // Heal events fired.
+  OFC_COUNTER_FIELDS(OFC_FAULT_COUNTERS)
 };
 
 class FaultInjector {
@@ -94,8 +99,10 @@ class FaultInjector {
   // depends on hash iteration order.
   std::map<int, int> worker_crash_depth_;
   std::map<int, int> node_crash_depth_;
-  obs::Counter* injected_ = nullptr;
-  obs::Counter* healed_ = nullptr;
+  struct Metrics {
+    OFC_COUNTER_CELLS(OFC_FAULT_COUNTERS, FaultStats)
+  };
+  Metrics m_;
   obs::Gauge* active_ = nullptr;
 };
 

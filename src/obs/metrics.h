@@ -3,11 +3,16 @@
 // Components obtain named cells (counters, gauges, distribution series) from a
 // shared registry at construction and bump them on the hot path with a plain
 // pointer dereference — no locking (the simulator is single-threaded) and no
-// string lookups after the first access. The legacy per-component stats structs
-// (ProxyStats, CacheScalingStats, PlatformStats, OfcPredictionStats, ...) are
-// retained as *views* assembled from the registry cells, so existing tests and
-// benches keep their accessor APIs while the registry stays the single source
-// of truth — Table 2 output and the machine-readable exports can never drift.
+// string lookups after the first access.
+//
+// Plain counters are declared once per component, as rows of an X-macro
+// counter list in the component's header (see "Counter lists" below). The
+// list generates the component's `*Stats` view fields (ProxyStats,
+// CacheScalingStats, PlatformStats, ...), its cached cell pointers, their
+// registration and the view's copy lines, so the views tests and benches read
+// can never drift from the registry that Table 2 and the exports read.
+// Gauges, series, labelled per-function/per-worker cells and derived view
+// fields stay hand-written next to the list.
 //
 // Naming scheme: `ofc.<component>.<name>` (e.g. `ofc.proxy.cache_hits`), with
 // an optional label for per-function / per-worker breakdowns (rendered as
@@ -149,5 +154,49 @@ class MetricsRegistry {
 };
 
 }  // namespace ofc::obs
+
+// ---- Counter lists ------------------------------------------------------------
+//
+// A component declares each plain counter exactly once, as one row of an
+// X-macro list in its header whose name ends in `_COUNTERS` (rows are
+// backslash-continued lines; /* */ comments may sit between them):
+//
+//   #define OFC_WIDGET_COUNTERS(X)
+//     X(requests, "ofc.widget.requests")
+//     X(bytes_read, "ofc.widget.bytes_read", Bytes)
+//
+// Columns: the view field, the registry family name, and optionally the view
+// field's type (std::uint64_t when omitted). The name must be a string
+// literal: simlint's metric-name-audit reads each row as a counter
+// registration. The list then generates the rest:
+//
+//   struct WidgetStats {
+//     OFC_COUNTER_FIELDS(OFC_WIDGET_COUNTERS)  // One zeroed field per row.
+//   };
+//   struct Metrics {  // The component's private cell cache.
+//     OFC_COUNTER_CELLS(OFC_WIDGET_COUNTERS, WidgetStats)
+//   };
+//
+// OFC_COUNTER_CELLS declares one `obs::Counter*` per row plus
+//   BindCounters(registry, label = "")  get-or-creates every row's cell;
+//   CopyCounters(view)                  copies every cell into the view.
+// Hot paths bump `++*m_.field` through the cached pointer.
+#define OFC_COUNTER_FIELDS(LIST) LIST(OFC_COUNTER_FIELD_)
+#define OFC_COUNTER_CELLS(LIST, View)                                                       \
+  LIST(OFC_COUNTER_CELL_)                                                                   \
+  void BindCounters(::ofc::obs::MetricsRegistry& registry, const std::string& label = "") { \
+    LIST(OFC_COUNTER_BIND_)                                                                 \
+  }                                                                                         \
+  void CopyCounters(View& view) const { LIST(OFC_COUNTER_COPY_) }
+
+// Row expanders (implementation details of the two macros above).
+#define OFC_COUNTER_TYPE_(...) OFC_COUNTER_FIRST_(__VA_ARGS__ __VA_OPT__(, ) std::uint64_t)
+#define OFC_COUNTER_FIRST_(type, ...) type
+#define OFC_COUNTER_FIELD_(field, name, ...) OFC_COUNTER_TYPE_(__VA_ARGS__) field = 0;
+#define OFC_COUNTER_CELL_(field, name, ...) ::ofc::obs::Counter* field = nullptr;
+// simlint: allow(metric-name-audit) -- the literal name is audited at each list row
+#define OFC_COUNTER_BIND_(field, name, ...) field = registry.GetCounter(name, label);
+#define OFC_COUNTER_COPY_(field, name, ...)                       \
+  view.field = static_cast<decltype(view.field)>(field->value());
 
 #endif  // OFC_OBS_METRICS_H_

@@ -111,26 +111,31 @@ struct RecoveryResult {
   SimDuration duration = 0;      // Parallel partitioned recovery makespan.
 };
 
-// Snapshot view over the cluster's `ofc.ramcloud.*` registry counters.
+// The cluster's plain counters: X(view field, registry family). See "Counter
+// lists" in src/obs/metrics.h.
+#define OFC_CLUSTER_COUNTERS(X)                                                                    \
+  X(reads, "ofc.ramcloud.reads")                                                                   \
+  X(read_hits_local, "ofc.ramcloud.read_hits_local")                                               \
+  X(read_hits_remote, "ofc.ramcloud.read_hits_remote")                                             \
+  X(read_misses, "ofc.ramcloud.read_misses")                                                       \
+  X(writes, "ofc.ramcloud.writes")                                                                 \
+  X(write_rejects, "ofc.ramcloud.write_rejects")                                                   \
+  X(version_conflicts, "ofc.ramcloud.version_conflicts") /* CAS writes/commits aborted. */         \
+  X(transactions_committed, "ofc.ramcloud.transactions_committed")                                 \
+  X(migrations, "ofc.ramcloud.migrations")                                                         \
+  X(evictions, "ofc.ramcloud.evictions")                                                           \
+  X(node_crashes, "ofc.ramcloud.node_crashes")                                                     \
+  X(node_restarts, "ofc.ramcloud.node_restarts")                                                   \
+  X(objects_recovered, "ofc.ramcloud.objects_recovered") /* Backup promotions after crashes. */    \
+  X(objects_lost, "ofc.ramcloud.objects_lost") /* No surviving replica at crash time. */           \
+  X(checksum_failures, "ofc.integrity.checksum_failures") /* Corrupt copies detected. */           \
+  X(integrity_repairs, "ofc.integrity.repairs") /* Copies restored from replica or RSDS. */        \
+  X(read_data_loss, "ofc.integrity.read_data_loss") /* Reads failed: every copy corrupt. */        \
+  X(nodes_quarantined, "ofc.ramcloud.nodes_quarantined") /* Graceful drains triggered by scrub. */
+
+// Snapshot view over the cluster's registry counters.
 struct ClusterStats {
-  std::uint64_t reads = 0;
-  std::uint64_t read_hits_local = 0;
-  std::uint64_t read_hits_remote = 0;
-  std::uint64_t read_misses = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t write_rejects = 0;
-  std::uint64_t version_conflicts = 0;  // Conditional writes / commits aborted.
-  std::uint64_t transactions_committed = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t node_crashes = 0;
-  std::uint64_t node_restarts = 0;
-  std::uint64_t objects_recovered = 0;  // Backup promotions after crashes.
-  std::uint64_t objects_lost = 0;       // No surviving replica at crash time.
-  std::uint64_t checksum_failures = 0;  // Corrupt copies detected (read/scrub/recovery).
-  std::uint64_t integrity_repairs = 0;  // Copies restored from replica or RSDS.
-  std::uint64_t read_data_loss = 0;     // Reads failed: every copy corrupt.
-  std::uint64_t nodes_quarantined = 0;  // Graceful drains triggered by scrub.
+  OFC_COUNTER_FIELDS(OFC_CLUSTER_COUNTERS)
 };
 
 class Cluster {
@@ -287,7 +292,6 @@ class Cluster {
 
   // Assembled on demand from the metrics registry.
   ClusterStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   // Total memory in use across alive nodes (Figure 10 series).
@@ -324,24 +328,7 @@ class Cluster {
 
   // Registry cells behind ClusterStats; bumped through cached pointers.
   struct Metrics {
-    obs::Counter* reads = nullptr;
-    obs::Counter* read_hits_local = nullptr;
-    obs::Counter* read_hits_remote = nullptr;
-    obs::Counter* read_misses = nullptr;
-    obs::Counter* writes = nullptr;
-    obs::Counter* write_rejects = nullptr;
-    obs::Counter* version_conflicts = nullptr;
-    obs::Counter* transactions_committed = nullptr;
-    obs::Counter* migrations = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* node_crashes = nullptr;
-    obs::Counter* node_restarts = nullptr;
-    obs::Counter* objects_recovered = nullptr;
-    obs::Counter* objects_lost = nullptr;
-    obs::Counter* checksum_failures = nullptr;
-    obs::Counter* integrity_repairs = nullptr;
-    obs::Counter* read_data_loss = nullptr;
-    obs::Counter* nodes_quarantined = nullptr;
+    OFC_COUNTER_CELLS(OFC_CLUSTER_COUNTERS, ClusterStats)
     obs::Series* recovery_ms = nullptr;  // Per-crash recovery makespan.
   };
 

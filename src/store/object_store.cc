@@ -33,48 +33,13 @@ void ObjectStore::InitMetrics(obs::MetricsRegistry* metrics) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  m_.reads = metrics_->GetCounter("ofc.store.reads", name_);
-  m_.writes = metrics_->GetCounter("ofc.store.writes", name_);
-  m_.shadow_writes = metrics_->GetCounter("ofc.store.shadow_writes", name_);
-  m_.payload_finalizes = metrics_->GetCounter("ofc.store.payload_finalizes", name_);
-  m_.deletes = metrics_->GetCounter("ofc.store.deletes", name_);
-  m_.unavailable_errors = metrics_->GetCounter("ofc.store.unavailable_errors", name_);
-  m_.webhook_bypasses = metrics_->GetCounter("ofc.store.webhook_bypasses", name_);
-  m_.checksum_failures =
-      metrics_->GetCounter("ofc.integrity.store_checksum_failures", name_);
-  m_.integrity_repairs = metrics_->GetCounter("ofc.integrity.store_repairs", name_);
-  m_.bytes_read = metrics_->GetCounter("ofc.store.bytes_read", name_);
-  m_.bytes_written = metrics_->GetCounter("ofc.store.bytes_written", name_);
+  m_.BindCounters(*metrics_, name_);
 }
 
 StoreStats ObjectStore::stats() const {
   StoreStats stats;
-  stats.reads = m_.reads->value();
-  stats.writes = m_.writes->value();
-  stats.shadow_writes = m_.shadow_writes->value();
-  stats.payload_finalizes = m_.payload_finalizes->value();
-  stats.deletes = m_.deletes->value();
-  stats.unavailable_errors = m_.unavailable_errors->value();
-  stats.webhook_bypasses = m_.webhook_bypasses->value();
-  stats.checksum_failures = m_.checksum_failures->value();
-  stats.integrity_repairs = m_.integrity_repairs->value();
-  stats.bytes_read = static_cast<Bytes>(m_.bytes_read->value());
-  stats.bytes_written = static_cast<Bytes>(m_.bytes_written->value());
+  m_.CopyCounters(stats);
   return stats;
-}
-
-void ObjectStore::ResetStats() {
-  m_.reads->Reset();
-  m_.writes->Reset();
-  m_.shadow_writes->Reset();
-  m_.payload_finalizes->Reset();
-  m_.deletes->Reset();
-  m_.unavailable_errors->Reset();
-  m_.webhook_bypasses->Reset();
-  m_.checksum_failures->Reset();
-  m_.integrity_repairs->Reset();
-  m_.bytes_read->Reset();
-  m_.bytes_written->Reset();
 }
 
 void ObjectStore::After(SimDuration delay, std::function<void()> fn) {

@@ -61,20 +61,25 @@ struct ObjectMetadata {
   bool IsShadow() const { return rsds_version < latest_version; }
 };
 
-// Snapshot view over the store's `ofc.store.*` registry counters (cells are
-// labeled with the store's name, so several stores share one registry).
+// The store's plain counters: X(view field, registry family[, view type]).
+// Cells are labelled with the store's name, so several stores share one
+// registry. See "Counter lists" in src/obs/metrics.h.
+#define OFC_STORE_COUNTERS(X)                                                                    \
+  X(reads, "ofc.store.reads")                                                                    \
+  X(writes, "ofc.store.writes")                                                                  \
+  X(shadow_writes, "ofc.store.shadow_writes")                                                    \
+  X(payload_finalizes, "ofc.store.payload_finalizes")                                            \
+  X(deletes, "ofc.store.deletes")                                                                \
+  X(unavailable_errors, "ofc.store.unavailable_errors") /* Ops rejected during an outage. */     \
+  X(webhook_bypasses, "ofc.store.webhook_bypasses") /* External ops while webhooks dropped. */   \
+  X(checksum_failures, "ofc.integrity.store_checksum_failures") /* Corrupt payloads detected. */ \
+  X(integrity_repairs, "ofc.integrity.store_repairs") /* Fixed from own redundancy. */           \
+  X(bytes_read, "ofc.store.bytes_read", Bytes)                                                   \
+  X(bytes_written, "ofc.store.bytes_written", Bytes)
+
+// Snapshot view over the store's registry counters.
 struct StoreStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t shadow_writes = 0;
-  std::uint64_t payload_finalizes = 0;
-  std::uint64_t deletes = 0;
-  std::uint64_t unavailable_errors = 0;  // Ops rejected during an outage.
-  std::uint64_t webhook_bypasses = 0;    // External ops while webhooks dropped.
-  std::uint64_t checksum_failures = 0;   // Corrupt payloads detected (get/scrub/land).
-  std::uint64_t integrity_repairs = 0;   // Repaired from the store's own redundancy.
-  Bytes bytes_read = 0;
-  Bytes bytes_written = 0;
+  OFC_COUNTER_FIELDS(OFC_STORE_COUNTERS)
 };
 
 // Latency profile of a store deployment. Reads and writes are priced
@@ -227,7 +232,6 @@ class ObjectStore {
   Bytes TotalBytes() const;
   // Assembled on demand from the metrics registry.
   StoreStats stats() const;
-  void ResetStats();
   obs::MetricsRegistry& metrics() { return *metrics_; }
   // Seeds an object instantly (dataset preparation in FaaSLoad).
   void Seed(const std::string& key, Bytes size, Tags tags);
@@ -235,17 +239,7 @@ class ObjectStore {
  private:
   // Registry cells behind StoreStats, labeled with the store's name.
   struct Metrics {
-    obs::Counter* reads = nullptr;
-    obs::Counter* writes = nullptr;
-    obs::Counter* shadow_writes = nullptr;
-    obs::Counter* payload_finalizes = nullptr;
-    obs::Counter* deletes = nullptr;
-    obs::Counter* unavailable_errors = nullptr;
-    obs::Counter* webhook_bypasses = nullptr;
-    obs::Counter* checksum_failures = nullptr;
-    obs::Counter* integrity_repairs = nullptr;
-    obs::Counter* bytes_read = nullptr;
-    obs::Counter* bytes_written = nullptr;
+    OFC_COUNTER_CELLS(OFC_STORE_COUNTERS, StoreStats)
   };
   void InitMetrics(obs::MetricsRegistry* metrics);
 

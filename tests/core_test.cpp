@@ -287,13 +287,14 @@ TEST_F(CacheAgentTest, SandboxGrowthShrinksCache) {
   CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
   agent.Start();
   agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));
-  agent.ResetStats();  // Ignore the initial-hoard scale-up.
+  const CacheScalingStats before = agent.stats();  // After the initial-hoard scale-up.
   agent.OnSandboxMemoryChange(Ev(0, MiB(64), MiB(512)));
   EXPECT_EQ(cluster_.Capacity(0), GiB(1) - MiB(512) - MiB(100));
   agent.OnSandboxMemoryChange(Ev(0, MiB(512), MiB(128)));  // Sandbox shrinks back.
   EXPECT_EQ(cluster_.Capacity(0), GiB(1) - MiB(128) - MiB(100));
-  EXPECT_EQ(agent.stats().scale_ups, 1u);
-  EXPECT_GE(agent.stats().scale_downs_plain, 1u);
+  const CacheScalingStats after = agent.stats();
+  EXPECT_EQ(after.scale_ups - before.scale_ups, 1u);
+  EXPECT_GE(after.scale_downs_plain - before.scale_downs_plain, 1u);
 }
 
 TEST_F(CacheAgentTest, ShrinkEvictsPersistedOutputsFirst) {

@@ -10,11 +10,17 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/scrubber.h"
 #include "src/faas/direct_data_service.h"
 #include "src/faas/platform.h"
+#include "src/faasload/environment.h"
+#include "src/faasload/injector.h"
+#include "src/fault/fault_injector.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
@@ -399,6 +405,113 @@ TEST(TracedPlatformTest, SamplingSkipsUnsampledInvocations) {
   EXPECT_EQ(json.find("\"extract\""), std::string::npos);
   EXPECT_EQ(json.find("\"ph\": \"X\""), std::string::npos);
 }
+
+// Walks the counter lists one row at a time: the row's family must exist in
+// the registry as a counter, and the component's view must report exactly the
+// cell's value.
+class CounterListAudit {
+ public:
+  explicit CounterListAudit(const MetricsRegistry& registry) : registry_(registry) {
+    registry.VisitCounters(
+        [this](const std::string& name, const std::string& label, const Counter&) {
+          cells_.insert({name, label});
+        });
+  }
+
+  void Row(const std::string& name, std::uint64_t view_value, const std::string& label) {
+    ++rows_;
+    nonzero_ += view_value > 0 ? 1 : 0;
+    EXPECT_TRUE(cells_.contains({name, label})) << name << "{" << label << "}";
+    EXPECT_EQ(view_value, registry_.CounterValue(name, label)) << name << "{" << label << "}";
+  }
+
+  int rows() const { return rows_; }
+  int nonzero() const { return nonzero_; }
+
+ private:
+  const MetricsRegistry& registry_;
+  std::set<std::pair<std::string, std::string>> cells_;
+  int rows_ = 0;
+  int nonzero_ = 0;
+};
+
+// Expands one list row against `view` and `label` in the calling scope.
+#define AUDIT_COUNTER_ROW(field, name, ...) \
+  audit.Row(name, static_cast<std::uint64_t>(view.field), label);
+
+TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
+  faasload::EnvironmentOptions options;
+  options.seed = 42;
+  faasload::Environment env(faasload::Mode::kOfc, options);
+  core::ScrubberOptions scrub_options;
+  scrub_options.metrics = &env.metrics();
+  core::Scrubber scrubber(&env.loop(), env.cluster(), &env.rsds(), scrub_options);
+  fault::FaultInjectorOptions fault_options;
+  fault_options.metrics = &env.metrics();
+  fault::FaultInjector faults(
+      &env.loop(),
+      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
+                                  &env.ofc()->proxy()},
+      fault_options);
+  fault::FaultPlan plan;
+  plan.events.push_back({Seconds(60), fault::FaultKind::kCorruptReplica, 0, 0, 4.0});
+  plan.events.push_back({Seconds(90), fault::FaultKind::kWorkerCrash, 1, Seconds(30)});
+  ASSERT_TRUE(faults.Schedule(plan).ok());
+
+  faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, /*seed=*/43);
+  for (const char* function : {"wand_blur", "wand_sepia", "wand_edge"}) {
+    faasload::TenantSpec spec;
+    spec.name = std::string("t-") + function;
+    spec.function = function;
+    spec.mean_interval_s = 5.0;
+    ASSERT_TRUE(injector.AddTenant(spec).ok());
+  }
+  injector.PretrainModels(100);
+  scrubber.Start();
+  injector.Run(Minutes(5));
+
+  CounterListAudit audit(env.metrics());
+  std::string label;
+  {
+    const faas::PlatformStats view = env.platform().stats();
+    OFC_PLATFORM_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  {
+    const core::ProxyStats view = env.ofc()->proxy().stats();
+    OFC_PROXY_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  {
+    const core::CacheScalingStats view = env.ofc()->cache_agent().stats();
+    OFC_CACHE_AGENT_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  {
+    const core::OfcPredictionStats view = env.ofc()->prediction_stats();
+    OFC_PREDICTION_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  {
+    const rc::ClusterStats view = env.cluster()->stats();
+    OFC_CLUSTER_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  {
+    const core::ScrubberStats view = scrubber.stats();
+    OFC_SCRUBBER_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  {
+    const fault::FaultStats view = faults.stats();
+    OFC_FAULT_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  label = env.rsds().name();  // Store rows are labelled with the store's name.
+  {
+    const store::StoreStats view = env.rsds().stats();
+    OFC_STORE_COUNTERS(AUDIT_COUNTER_ROW)
+  }
+  EXPECT_EQ(audit.rows(), 91);
+  // The run exercised the lists: reads, hits, scale-ups, predictions, scrub
+  // passes and the injected faults all moved their rows off zero.
+  EXPECT_GE(audit.nonzero(), 30) << "scenario too idle to tell the views from zeros";
+}
+
+#undef AUDIT_COUNTER_ROW
 
 }  // namespace
 }  // namespace ofc::obs

@@ -740,33 +740,68 @@ class Analyzer {
 
   // ---- Includes, metric registrations, metric grammar ------------------------
 
+  // Records one registration of a literal family name, checking its grammar
+  // in component code.
+  void AuditMetricName(const Token& name, const std::string& kind) {
+    static const std::regex kNameRe(R"(^ofc\.[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$)");
+    out_.metrics.push_back({name.text, kind, name.line});
+    if (in_src_ && !std::regex_match(name.text, kNameRe)) {
+      Report(name.line, "metric-name-audit",
+             "metric family name '" + name.text +
+                 "' violates the grammar `ofc.<component>.<name>` "
+                 "(lower_snake segments, exactly three)");
+    }
+  }
+
+  void ReportNonLiteralName(int line, const std::string& site) {
+    if (in_src_) {
+      Report(line, "metric-name-audit",
+             "metric family name " + site +
+                 " must be a string literal so it can be audited against "
+                 "the DESIGN.md metrics table");
+    }
+  }
+
+  // Rows of a counter list (src/obs/metrics.h "Counter lists"), starting at
+  // `i`, the first token after `#define NAME_COUNTERS(param)`: each
+  // `param(field, "ofc.x.y"[, Type])` registers a counter. Returns the index
+  // of the last row token.
+  std::size_t CounterListRows(std::size_t i, const std::string& param) {
+    while (IsId(i, param.c_str()) && IsPunct(i + 1, "(")) {
+      const std::size_t close = Match(i + 1);
+      if (i + 4 < close && Tok(i + 2).kind == TokKind::kIdentifier && IsPunct(i + 3, ",") &&
+          Tok(i + 4).kind == TokKind::kString) {
+        AuditMetricName(Tok(i + 4), "counter");
+      } else {
+        ReportNonLiteralName(Tok(i).line, "in a counter list row");
+      }
+      i = close + 1;
+    }
+    return i - 1;
+  }
+
   void IncludesAndMetrics() {
     static const std::map<std::string, std::string> kRegs = {
         {"GetCounter", "counter"}, {"GetGauge", "gauge"}, {"GetSeries", "series"}};
-    static const std::regex kNameRe(R"(^ofc\.[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$)");
     for (std::size_t i = 0; i < Size(); ++i) {
       if (IsPunct(i, "#") && IsId(i + 1, "include") && i + 2 < Size() &&
           Tok(i + 2).kind == TokKind::kString) {
         out_.includes.push_back({Tok(i + 2).text, Tok(i + 2).line});
         continue;
       }
+      if (IsPunct(i, "#") && IsId(i + 1, "define") && i + 5 < Size() &&
+          Tok(i + 2).kind == TokKind::kIdentifier && EndsWith(Tok(i + 2).text, "_COUNTERS") &&
+          IsPunct(i + 3, "(") && Tok(i + 4).kind == TokKind::kIdentifier &&
+          IsPunct(i + 5, ")")) {
+        i = CounterListRows(i + 6, Tok(i + 4).text);
+        continue;
+      }
       if (Tok(i).kind == TokKind::kIdentifier && kRegs.contains(Tok(i).text) &&
           IsPunct(i + 1, "(") && (IsPunct(i - 1, ".") || IsPunct(i - 1, "->"))) {
-        const std::string& kind = kRegs.at(Tok(i).text);
         if (i + 2 < Size() && Tok(i + 2).kind == TokKind::kString) {
-          const std::string& name = Tok(i + 2).text;
-          out_.metrics.push_back({name, kind, Tok(i + 2).line});
-          if (in_src_ && !std::regex_match(name, kNameRe)) {
-            Report(Tok(i + 2).line, "metric-name-audit",
-                   "metric family name '" + name +
-                       "' violates the grammar `ofc.<component>.<name>` "
-                       "(lower_snake segments, exactly three)");
-          }
-        } else if (in_src_) {
-          Report(Tok(i).line, "metric-name-audit",
-                 "metric family name passed to " + Tok(i).text +
-                     " must be a string literal so it can be audited against "
-                     "the DESIGN.md metrics table");
+          AuditMetricName(Tok(i + 2), kRegs.at(Tok(i).text));
+        } else {
+          ReportNonLiteralName(Tok(i).line, "passed to " + Tok(i).text);
         }
       }
     }

@@ -35,10 +35,13 @@
 //                       inside the argument (e.g. an IIFE's accumulators) are
 //                       invisible outside and allowed.
 //   metric-name-audit   (file-local half) metric family names passed to
-//                       GetCounter/GetGauge/GetSeries in src/ must be string
-//                       literals matching `ofc.<component>.<name>` with
-//                       lower_snake segments. The cross-file half (kind
-//                       conflicts, DESIGN.md table) lives in project.h.
+//                       GetCounter/GetGauge/GetSeries in src/, and the name
+//                       column of each counter-list row (`X(field, "name")`
+//                       under `#define *_COUNTERS(X)`, registered as a
+//                       counter), must be string literals matching
+//                       `ofc.<component>.<name>` with lower_snake segments.
+//                       The cross-file half (kind conflicts, DESIGN.md
+//                       table) lives in project.h.
 //   suppression         a `simlint: allow(...)` comment without a
 //                       justification.
 //
@@ -83,7 +86,8 @@ struct IncludeDecl {
   int line = 0;
 };
 
-// A metric family registration with a literal name.
+// A metric family registration with a literal name: a Get* call or a
+// counter-list row.
 struct MetricReg {
   std::string name;
   std::string kind;  // "counter" | "gauge" | "series"

@@ -123,12 +123,47 @@ TEST(SimlintTest, HoistedMutationOutsideDcheckIsClean) {
 TEST(SimlintTest, FlagsMetricNameViolations) {
   const auto findings = LintSource("src/core/violation_metric_name.cc",
                                    ReadFixture("violation_metric_name.cc"));
-  EXPECT_EQ(findings.size(), 4u) << (findings.empty() ? "" : FormatFinding(findings[0]));
+  EXPECT_EQ(findings.size(), 6u) << (findings.empty() ? "" : FormatFinding(findings[0]));
   EXPECT_TRUE(AllRule(findings, "metric-name-audit"));
   EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 12));  // missing ofc.
   EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 13));  // not lower_snake
   EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 14));  // two segments
   EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 15));  // non-literal
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 20));  // list row: missing ofc.
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 21));  // list row: non-literal
+}
+
+TEST(SimlintTest, CounterListRowsAreCounterRegistrations) {
+  const std::string src =
+      "#define OFC_AGENT_COUNTERS(ROW)              \\\n"
+      "  /* Served from the cache. */               \\\n"
+      "  ROW(hits, \"ofc.agent.hits\")               \\\n"
+      "  ROW(bytes, \"ofc.agent.bytes\", Bytes)\n"
+      "#define OFC_AGENT_FIELDS(ROW) ROW(misses, \"ofc.agent.misses\")\n"
+      "void Bind(Registry* r) { r->GetGauge(\"ofc.agent.depth\"); }\n";
+  const FileAnalysis fa = AnalyzeSource("src/core/agent.h", src);
+  EXPECT_TRUE(fa.findings.empty()) << FormatFinding(fa.findings[0]);
+  // Only `*_COUNTERS` lists are read; the Get* call is still audited.
+  ASSERT_EQ(fa.metrics.size(), 3u);
+  EXPECT_EQ(fa.metrics[0].name, "ofc.agent.hits");
+  EXPECT_EQ(fa.metrics[0].kind, "counter");
+  EXPECT_EQ(fa.metrics[0].line, 3);
+  EXPECT_EQ(fa.metrics[1].name, "ofc.agent.bytes");
+  EXPECT_EQ(fa.metrics[1].kind, "counter");
+  EXPECT_EQ(fa.metrics[2].name, "ofc.agent.depth");
+  EXPECT_EQ(fa.metrics[2].kind, "gauge");
+}
+
+TEST(SimlintTest, FlagsBadGrammarInCounterListRow) {
+  const std::string src =
+      "#define OFC_AGENT_COUNTERS(X) \\\n"
+      "  X(hits, \"ofc.agent.hits\")  \\\n"
+      "  X(misses, \"ofc.agent.Misses\")\n";
+  const auto findings = LintSource("src/core/agent.h", src);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("'ofc.agent.Misses' violates the grammar"),
+            std::string::npos);
 }
 
 TEST(SimlintTest, AnalyzeSourceExportsIncludesMetricsAndMembers) {

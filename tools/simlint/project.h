@@ -11,7 +11,8 @@
 //                      unknown subsystems, and file-level include cycles are
 //                      errors.
 //   metric-name-audit  (cross-file half) every `ofc.*` metric family name
-//                      registered via GetCounter/GetGauge/GetSeries in src/:
+//                      registered in src/ via GetCounter/GetGauge/GetSeries
+//                      or a counter-list row:
 //                      a name registered with conflicting kinds is an error;
 //                      a name missing from the DESIGN.md metrics table is an
 //                      error; a table row whose name is no longer registered

@@ -142,6 +142,49 @@ TEST(ProjectTest, StaleDesignRowAndKindMismatchAnchorAtDesignMd) {
   EXPECT_EQ(findings[1].line, 2);
 }
 
+TEST(ProjectTest, CounterListRowConflictsWithGaugeElsewhere) {
+  const std::vector<SourceFile> files = {
+      {"src/core/a.h",
+       "#define OFC_A_COUNTERS(X) \\\n"
+       "  X(widgets, \"ofc.core.widgets\")\n"},
+      {"src/core/b.cc", "void B(R* r) { r->GetGauge(\"ofc.core.widgets\"); }\n"},
+  };
+  const auto result = AnalyzeProject(files, NoDesign());
+  const auto findings = FindingsFor(result, "metric-name-audit");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("conflicting kinds"), std::string::npos);
+  EXPECT_EQ(findings[0].file, "src/core/a.h");  // The list row registers first.
+  EXPECT_EQ(findings[0].line, 2);
+}
+
+TEST(ProjectTest, CounterListDriftFromDesignTableIsFlagged) {
+  ProjectOptions options;
+  options.design_md =
+      "| `ofc.core.gone` | counter | src/core/a.h |\n"
+      "| `ofc.core.kept` | counter | src/core/a.h |\n";
+  const std::vector<SourceFile> files = {
+      {"src/core/a.h",
+       "#define OFC_A_COUNTERS(X)  \\\n"
+       "  X(kept, \"ofc.core.kept\") \\\n"
+       "  X(added, \"ofc.core.added\")\n"},
+  };
+  const auto result = AnalyzeProject(files, options);
+  const auto findings = FindingsFor(result, "metric-name-audit");
+  ASSERT_EQ(findings.size(), 2u);
+  // Stale table row anchored at DESIGN.md; the undocumented row at its line.
+  EXPECT_EQ(findings[0].file, "DESIGN.md");
+  EXPECT_EQ(findings[0].line, 1);
+  EXPECT_NE(findings[0].message.find("'ofc.core.gone'"), std::string::npos);
+  EXPECT_EQ(findings[1].file, "src/core/a.h");
+  EXPECT_EQ(findings[1].line, 3);
+  EXPECT_NE(findings[1].message.find("'ofc.core.added' is not documented"),
+            std::string::npos);
+  ASSERT_EQ(result.metrics.size(), 2u);
+  EXPECT_EQ(MetricsMarkdown(result),
+            "| `ofc.core.added` | counter | src/core/a.h |\n"
+            "| `ofc.core.kept` | counter | src/core/a.h |\n");
+}
+
 TEST(ProjectTest, MetricInventoryIsSortedAndMarkdownRendered) {
   const std::vector<SourceFile> files = {
       {"src/core/z.cc", "void Z(R* r) { r->GetGauge(\"ofc.core.zeta\"); }\n"},

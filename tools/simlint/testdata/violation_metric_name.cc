@@ -1,6 +1,6 @@
-// Fixture: metric-name-audit (file-local half) — metric family names must be
-// string literals matching `ofc.<component>.<name>` with lower_snake
-// segments. Lint under a src/ label; the rule is scoped to component code.
+// Fixture: metric-name-audit (file-local half) — family names in Get* calls and
+// counter-list rows must be string literals matching `ofc.<component>.<name>`
+// with lower_snake segments. Lint under a src/ label (component code only).
 struct Registry {
   int* GetCounter(const char* name, const char* label = nullptr);
   int* GetGauge(const char* name);
@@ -14,3 +14,8 @@ void Register(Registry& reg, const char* dynamic) {
   reg.GetSeries("ofc.proxy");              // line 14: two segments, not three
   reg.GetCounter(dynamic);                 // line 15: non-literal name
 }
+
+#define OFC_FIXTURE_COUNTERS(X)                                  \
+  X(hits, "ofc.fixture.hits") /* clean */                        \
+  X(misses, "fixture.misses") /* line 20: missing ofc. prefix */ \
+  X(spills, kSpillName)       /* line 21: non-literal name */
