@@ -25,7 +25,6 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options_.trace;
   flight_ = options_.flight;
   policy_ = options_.policy;
   if (policy_ == nullptr) {
@@ -50,9 +49,6 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
   m_.scale_up_time_us = metrics_->GetGauge("ofc.cache_agent.scale_up_time_us");
   m_.scale_down_time_us = metrics_->GetGauge("ofc.cache_agent.scale_down_time_us");
   m_.migration_ms = metrics_->GetSeries("ofc.cache_agent.migration_ms");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidCache, "cache-agent");
-  }
 }
 
 CacheScalingStats CacheAgent::stats() const {
@@ -170,14 +166,9 @@ void CacheAgent::ApplyTarget(int worker) {
     if (cluster_->SetCapacity(worker, target, &duration).ok()) {
       ++*m_.scale_ups;
       m_.scale_up_time_us->Add(static_cast<double>(duration));
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->Span("scale-up", "cache", loop_->now(), duration, obs::kPidCache,
-                     static_cast<std::uint64_t>(worker),
-                     {{"target_bytes", std::to_string(target)}});
-      }
       if (FlightOn()) {
         flight_->Record(loop_->now(), obs::FlightEventKind::kScaleUp, 0, 0, worker, "",
-                        std::to_string(target) + "B");
+                        std::to_string(target) + "B", duration);
       }
     }
     return;
@@ -210,15 +201,9 @@ void CacheAgent::ApplyTarget(int worker) {
     } else {
       ++*m_.scale_downs_plain;
     }
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Span("scale-down", "cache", loop_->now(), duration, obs::kPidCache,
-                   static_cast<std::uint64_t>(worker),
-                   {{"target_bytes", std::to_string(target)},
-                    {"mode", migrated ? "migration" : (evicted ? "eviction" : "plain")}});
-    }
     if (FlightOn()) {
       flight_->Record(loop_->now(), obs::FlightEventKind::kScaleDown, 0, 0, worker, "",
-                      migrated ? "migration" : (evicted ? "eviction" : "plain"));
+                      migrated ? "migration" : (evicted ? "eviction" : "plain"), duration);
     }
   }
 }
@@ -281,14 +266,10 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
       *migrated = true;
       AddScaleDownTime(migration->duration);
       m_.migration_ms->Observe(ToMillis(migration->duration));
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->Span("migrate-master", "cache", loop_->now(), migration->duration,
-                     obs::kPidCache, static_cast<std::uint64_t>(worker),
-                     {{"key", obj.key}});
-      }
       if (FlightOn()) {
         flight_->Record(loop_->now(), obs::FlightEventKind::kMigration, 0, 0, worker,
-                        obj.key, "to_" + std::to_string(migration->new_master));
+                        obj.key, "to_" + std::to_string(migration->new_master),
+                        migration->duration);
       }
       continue;
     }
@@ -398,10 +379,6 @@ bool CacheAgent::UnderPressure(int worker) {
     if (ratio < options_.pressure_low_watermark) {
       under_pressure_[w] = false;
       pressure_gauges_[w]->Set(0.0);
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->Instant("pressure-exit", "overload", loop_->now(), obs::kPidCache,
-                        static_cast<std::uint64_t>(worker));
-      }
       if (FlightOn()) {
         flight_->Record(loop_->now(), obs::FlightEventKind::kPressureExit, 0, 0, worker);
       }
@@ -409,10 +386,6 @@ bool CacheAgent::UnderPressure(int worker) {
   } else if (ratio >= options_.pressure_high_watermark) {
     under_pressure_[w] = true;
     pressure_gauges_[w]->Set(1.0);
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Instant("pressure-enter", "overload", loop_->now(), obs::kPidCache,
-                      static_cast<std::uint64_t>(worker));
-    }
     if (FlightOn()) {
       flight_->Record(loop_->now(), obs::FlightEventKind::kPressureEnter, 0, 0, worker);
     }

@@ -44,7 +44,6 @@
 #include "src/faas/platform.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 
@@ -78,10 +77,8 @@ struct CacheAgentOptions {
   // Null: the agent owns a private default engine (the paper's lru policy).
   CachePolicyEngine* policy = nullptr;
   // Observability sinks (src/obs/). Null `metrics` -> private registry; null
-  // `trace` -> scaling/migration events are skipped; null `flight` -> no
-  // black-box scale/pressure/migration records.
+  // `flight` -> scale/pressure/migration events are skipped.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
   obs::FlightRecorder* flight = nullptr;
 };
 
@@ -203,9 +200,8 @@ class CacheAgent {
   CachePolicyEngine* policy_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
   Metrics m_;
   bool started_ = false;
 };

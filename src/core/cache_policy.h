@@ -199,7 +199,7 @@ class CachePolicyEngine {
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
 
   // Owned policy instances: the default plus one per distinct override name.
   // Ordered by name; iterated only along deterministic paths (Prune).

@@ -9,28 +9,13 @@ namespace ofc::core {
 
 namespace {
 
-CacheAgentOptions WithObs(CacheAgentOptions o, obs::MetricsRegistry* metrics,
-                          obs::TraceRecorder* trace, obs::FlightRecorder* flight) {
+// Points a sub-component's options (CacheAgentOptions, ProxyOptions) at the
+// system's shared sinks and policy engine.
+template <typename Options>
+Options Shared(Options o, obs::MetricsRegistry* metrics, obs::FlightRecorder* flight,
+               CachePolicyEngine* policy) {
   o.metrics = metrics;
-  o.trace = trace;
   o.flight = flight;
-  return o;
-}
-
-ProxyOptions WithObs(ProxyOptions o, obs::MetricsRegistry* metrics, obs::TraceRecorder* trace,
-                     obs::FlightRecorder* flight) {
-  o.metrics = metrics;
-  o.trace = trace;
-  o.flight = flight;
-  return o;
-}
-
-CacheAgentOptions WithPolicy(CacheAgentOptions o, CachePolicyEngine* policy) {
-  o.policy = policy;
-  return o;
-}
-
-ProxyOptions WithPolicy(ProxyOptions o, CachePolicyEngine* policy) {
   o.policy = policy;
   return o;
 }
@@ -75,12 +60,9 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
       trainer_(&registry_, options.rsds_estimate, metrics_),
       policy_engine_(MakePolicyEngine(options, &registry_, metrics_)),
       cache_agent_(loop, cluster,
-                   WithPolicy(WithObs(options.cache_agent, metrics_, options.trace,
-                                      options.flight),
-                              policy_engine_.get())),
+                   Shared(options.cache_agent, metrics_, options.flight, policy_engine_.get())),
       proxy_(loop, cluster, rsds,
-             WithPolicy(WithObs(options.proxy, metrics_, options.trace, options.flight),
-                        policy_engine_.get())) {
+             Shared(options.proxy, metrics_, options.flight, policy_engine_.get())) {
   cache_agent_.set_writeback([this](const std::string& key, std::function<void(Status)> done) {
     proxy_.Writeback(key, std::move(done));
   });

@@ -48,7 +48,6 @@ struct OfcOptions {
   // sub-options so the whole assembly shares one registry. Null `metrics` ->
   // the system owns a private registry; null `flight` -> no black-box records.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
   obs::FlightRecorder* flight = nullptr;
 };
 

@@ -15,15 +15,11 @@ Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsd
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options_.trace;
   flight_ = options_.flight;
   m_.BindCounters(*metrics_);
   m_.breaker_state = metrics_->GetGauge("ofc.breaker.state");
   m_.breaker_open_time_us = metrics_->GetGauge("ofc.breaker.open_time_us");
   m_.persistor_ms = metrics_->GetSeries("ofc.proxy.persistor_ms");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidStore, "rsds-writeback");
-  }
 }
 
 void Proxy::PolicyAdmit(const std::string& key, Bytes size, const std::string& function) {
@@ -224,9 +220,8 @@ void Proxy::GetWithRetry(const std::string& key, SimTime deadline, int attempt,
       return;
     }
     ++*m_.rsds_retries;
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Instant("rsds-read-retry", "degradation", loop_->now(), obs::kPidStore,
-                      /*tid=*/0, {{"key", key}});
+    if (FlightOn()) {
+      flight_->Record(loop_->now(), obs::FlightEventKind::kRsdsReadRetry, 0, 0, -1, key);
     }
     loop_->ScheduleAfter(backoff,
                          [this, key, deadline, attempt, done = std::move(done)]() mutable {
@@ -348,10 +343,6 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
         ++*m_.fallback_writes;
         ++*m_.cached_writes;
         PolicyAdmit(key, size, ctx.function);
-        if (trace_ != nullptr && trace_->enabled()) {
-          trace_->Instant("write-fallback", "degradation", loop_->now(), obs::kPidStore,
-                          /*tid=*/0, {{"key", key}});
-        }
         if (FlightOn()) {
           flight_->Record(loop_->now(), obs::FlightEventKind::kWriteFallback,
                           ctx.invocation_id, 0, ctx.worker, key);
@@ -458,7 +449,9 @@ bool Proxy::BreakerBypasses() {
     breaker_successes_ = 0;
     m_.breaker_state->Set(2.0);
     m_.breaker_open_time_us->Add(static_cast<double>(loop_->now() - breaker_opened_at_));
-    TraceBreaker("breaker-half-open");
+    if (FlightOn()) {
+      flight_->Record(loop_->now(), obs::FlightEventKind::kBreakerHalfOpen, 0, 0, -1, "breaker");
+    }
   }
   if (breaker_ == BreakerState::kHalfOpen) {
     ++*m_.breaker_probes;
@@ -499,7 +492,6 @@ void Proxy::BreakerTrip() {
   breaker_open_until_ = loop_->now() + options_.breaker_open_duration;
   ++*m_.breaker_opens;
   m_.breaker_state->Set(1.0);
-  TraceBreaker("breaker-open");
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kBreakerOpen, 0, 0, -1, "breaker");
   }
@@ -511,15 +503,8 @@ void Proxy::BreakerClose() {
   breaker_successes_ = 0;
   ++*m_.breaker_closes;
   m_.breaker_state->Set(0.0);
-  TraceBreaker("breaker-close");
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kBreakerClose, 0, 0, -1, "breaker");
-  }
-}
-
-void Proxy::TraceBreaker(const char* what) {
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->Instant(what, "overload", loop_->now(), obs::kPidCache, /*tid=*/0);
   }
 }
 
@@ -578,13 +563,9 @@ void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
       return;
     }
     m_.persistor_ms->Observe(ToMillis(loop_->now() - scheduled));
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Span("persistor", "writeback", scheduled, loop_->now() - scheduled,
-                   obs::kPidStore, /*tid=*/0, {{"key", job.key}});
-    }
     if (FlightOn()) {
       flight_->Record(loop_->now(), obs::FlightEventKind::kPersistorDone, 0,
-                      job.invocation_id, -1, job.key);
+                      job.invocation_id, -1, job.key, "", loop_->now() - scheduled);
     }
     if (!EpochCurrent(job)) {
       // The push landed, but a newer acknowledged write took over the cached
@@ -689,9 +670,8 @@ void Proxy::HandleExternalRead(const std::string& key, std::function<void()> res
   // Boost the persistor: the external read completes only once the latest
   // payload is in the RSDS (§6.2).
   ++*m_.external_read_boosts;
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->Instant("external-read-boost", "webhook", loop_->now(), obs::kPidStore,
-                    /*tid=*/0, {{"key", key}});
+  if (FlightOn()) {
+    flight_->Record(loop_->now(), obs::FlightEventKind::kExternalReadBoost, 0, 0, -1, key);
   }
   Writeback(key, [resume = std::move(resume)](Status) { resume(); });
 }

@@ -37,7 +37,6 @@
 #include "src/faas/platform.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/store/object_store.h"
@@ -86,10 +85,8 @@ struct ProxyOptions {
   SimDuration breaker_open_duration = Seconds(5);
   int breaker_half_open_probes = 3;
   // Observability sinks (src/obs/). Null `metrics` -> private registry; null
-  // `trace` -> persistor/webhook events are skipped; null `flight` -> black-box
-  // cache/persistor records are skipped.
+  // `flight` -> cache/persistor/webhook events are skipped.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
   obs::FlightRecorder* flight = nullptr;
   // Cache policy engine (cache_policy.h) fed with data-plane lifecycle events:
   // admissions and cached writes (OnAdmit), hits (OnAccess), and proxy-driven
@@ -278,7 +275,6 @@ class Proxy : public faas::DataService {
   void BreakerReport(bool success);
   void BreakerTrip();
   void BreakerClose();
-  void TraceBreaker(const char* what);
   // A capacity rejection is a healthy cache saying "full" (backpressure owns
   // that), not a sick cache path; only other errors feed the breaker.
   static bool WriteHealthy(const Status& status) {
@@ -303,9 +299,8 @@ class Proxy : public faas::DataService {
   ProxyOptions options_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
   SimTime persistor_drop_until_ = 0;  // Fault injection: dispatches before this are lost.
   SimTime cache_fault_until_ = 0;     // Fault injection: cluster ops before this fail.
   // Circuit-breaker state (all transitions are clock/counter-driven, so

@@ -61,7 +61,6 @@ Platform::Platform(sim::EventLoop* loop, PlatformOptions options, DataService* d
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options_.trace;
   flight_ = options_.flight;
   m_.BindCounters(*metrics_);
   m_.shed_queue_full = metrics_->GetCounter("ofc.overload.shed", "queue_full");
@@ -72,10 +71,6 @@ Platform::Platform(sim::EventLoop* loop, PlatformOptions options, DataService* d
   m_.transform_ms = metrics_->GetSeries("ofc.platform.transform_ms");
   m_.load_ms = metrics_->GetSeries("ofc.platform.load_ms");
   m_.total_ms = metrics_->GetSeries("ofc.platform.total_ms");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidInvocations, "invocations");
-    trace_->SetProcessName(obs::kPidPipelines, "pipelines");
-  }
 }
 
 Platform::FnMetrics& Platform::FnMetricsFor(const std::string& function) {
@@ -407,21 +402,16 @@ void Platform::RunOnSandbox(std::shared_ptr<Request> request, Sandbox* sandbox,
     m_.queue_wait_ms->Observe(ToMillis(loop_->now() - request->first_queued));
   }
 
-  if (Traced(request->id)) {
+  if (FlightOn()) {
     const SimTime now = loop_->now();
     if (now > request->arrival) {
-      trace_->Span("queued", "dispatch", request->arrival, now - request->arrival,
-                   obs::kPidInvocations, request->id);
+      flight_->Record(now, obs::FlightEventKind::kQueueWait, request->id, request->pipeline_id,
+                      -1, "", "", now - request->arrival);
     }
-    trace_->Span(cold ? "cold-start" : "warm-start", "sandbox", now, startup,
-                 obs::kPidInvocations, request->id,
-                 {{"worker", std::to_string(sandbox->worker)},
-                  {"function", request->function}});
-  }
-  if (FlightOn()) {
     flight_->Record(loop_->now(),
                     cold ? obs::FlightEventKind::kColdStart : obs::FlightEventKind::kWarmStart,
-                    request->id, request->pipeline_id, sandbox->worker, request->function);
+                    request->id, request->pipeline_id, sandbox->worker, request->function, "",
+                    startup);
   }
 
   const std::uint64_t sandbox_id = sandbox->id;
@@ -468,14 +458,10 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
     }
     if (*next_input >= request->inputs.size()) {
       rec->extract_time = loop_->now() - extract_start;
-      if (Traced(request->id)) {
-        trace_->Span("extract", "phase", extract_start, rec->extract_time,
-                     obs::kPidInvocations, request->id);
-      }
       if (FlightOn()) {
         flight_->Record(loop_->now(), obs::FlightEventKind::kExtract, request->id,
                         request->pipeline_id, rec->worker, request->function,
-                        std::to_string(rec->input_bytes) + "B");
+                        std::to_string(rec->input_bytes) + "B", rec->extract_time);
       }
 
       // ---- Memory-limit check (OOM semantics, §5.3.1). ----
@@ -489,10 +475,6 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
           rec->memory_limit = sandbox->limit;
           rec->oom_rescued = true;
           ++*m_.oom_rescues;
-          if (Traced(request->id)) {
-            trace_->Instant("oom-rescue", "oom", loop_->now(), obs::kPidInvocations,
-                            request->id);
-          }
           if (FlightOn()) {
             flight_->Record(loop_->now(), obs::FlightEventKind::kOomRescue, request->id,
                             request->pipeline_id, rec->worker, request->function);
@@ -506,10 +488,6 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
                                [this, request, sandbox_id, rec, epoch]() mutable {
                                  if (request->crash_epoch != epoch) {
                                    return;
-                                 }
-                                 if (Traced(request->id)) {
-                                   trace_->Instant("oom-kill", "oom", loop_->now(),
-                                                   obs::kPidInvocations, request->id);
                                  }
                                  if (FlightOn()) {
                                    flight_->Record(loop_->now(),
@@ -530,13 +508,10 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
         if (request->crash_epoch != epoch) {
           return;
         }
-        if (Traced(request->id)) {
-          trace_->Span("transform", "phase", loop_->now() - rec->compute_time,
-                       rec->compute_time, obs::kPidInvocations, request->id);
-        }
         if (FlightOn()) {
           flight_->Record(loop_->now(), obs::FlightEventKind::kTransform, request->id,
-                          request->pipeline_id, rec->worker, request->function);
+                          request->pipeline_id, rec->worker, request->function, "",
+                          rec->compute_time);
         }
         // ---- Load phase: write the output object. ----
         const SimTime load_start = loop_->now();
@@ -554,15 +529,11 @@ void Platform::ExecutePhases(std::shared_ptr<Request> request, std::uint64_t san
                          return;
                        }
                        rec->load_time = loop_->now() - load_start;
-                       if (Traced(request->id)) {
-                         trace_->Span("load", "phase", load_start, rec->load_time,
-                                      obs::kPidInvocations, request->id);
-                       }
                        if (FlightOn()) {
                          flight_->Record(loop_->now(), obs::FlightEventKind::kLoad,
                                          request->id, request->pipeline_id, rec->worker,
                                          request->output_key,
-                                         std::to_string(rec->output_bytes) + "B");
+                                         std::to_string(rec->output_bytes) + "B", rec->load_time);
                        }
                        if (!status.ok()) {
                          FailAndMaybeRetry(std::move(request), sandbox_id, *rec);
@@ -683,14 +654,10 @@ void Platform::FailAndMaybeRetry(std::shared_ptr<Request> request, std::uint64_t
   record.total = loop_->now() - request->arrival;
   ++*m_.failed_invocations;
   RecordCompletion(record);
-  if (Traced(request->id)) {
-    trace_->Span(record.function, "invocation", request->arrival, record.total,
-                 obs::kPidInvocations, request->id, {{"failed", "true"}});
-  }
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kFail, request->id,
                     request->pipeline_id, record.worker, request->function,
-                    record.oom_killed ? "oom" : "error");
+                    record.oom_killed ? "oom" : "error", record.total);
   }
   if (fn != nullptr) {
     hooks_->OnInvocationComplete(*fn, request->inputs, request->args, record);
@@ -706,15 +673,9 @@ void Platform::FinishInvocation(std::shared_ptr<Request> request, std::uint64_t 
   TrackRunning(*request, -1);
   ReleaseSandbox(sandbox_id);
   RecordCompletion(record);
-  if (Traced(request->id)) {
-    trace_->Span(record.function, "invocation", request->arrival, record.total,
-                 obs::kPidInvocations, request->id,
-                 {{"worker", std::to_string(record.worker)},
-                  {"cold_start", record.cold_start ? "true" : "false"}});
-  }
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kComplete, request->id,
-                    request->pipeline_id, record.worker, request->function);
+                    request->pipeline_id, record.worker, request->function, "", record.total);
   }
   const FunctionConfig* fn = GetFunction(request->function);
   if (fn != nullptr) {
@@ -860,11 +821,6 @@ void Platform::Shed(std::shared_ptr<Request> request, obs::Counter* cell,
   record.oom_killed = request->oom_killed;
   record.total = loop_->now() - request->arrival;
   record.output_key = request->output_key;
-  if (Traced(request->id)) {
-    trace_->Instant(std::string("shed-") + reason, "overload", loop_->now(),
-                    obs::kPidInvocations, request->id,
-                    {{"function", request->function}});
-  }
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kShed, request->id,
                     request->pipeline_id, -1, request->function, reason);
@@ -938,15 +894,10 @@ void Platform::InvokePipeline(const workloads::PipelineSpec& spec,
   *run_stage = [this, state, weak_run_stage]() {
     if (state->stage >= state->spec.stages.size()) {
       state->record.total = loop_->now() - state->start;
-      if (trace_ != nullptr && trace_->Sampled(state->record.id)) {
-        trace_->Span(state->record.pipeline, "pipeline", state->start, state->record.total,
-                     obs::kPidPipelines, state->record.id,
-                     {{"tasks", std::to_string(state->record.num_tasks)}});
-      }
       if (FlightOn()) {
         flight_->Record(loop_->now(), obs::FlightEventKind::kPipelineEnd, 0,
                         state->record.id, -1, state->record.pipeline,
-                        state->record.failed ? "failed" : "ok");
+                        state->record.failed ? "failed" : "ok", state->record.total);
       }
       data_->OnPipelineComplete(state->record.id);
       state->done(state->record);

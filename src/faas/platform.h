@@ -39,7 +39,6 @@
 #include "src/common/units.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
 #include "src/workloads/functions.h"
 #include "src/workloads/pipelines.h"
@@ -67,11 +66,9 @@ struct PlatformOptions {
   int max_concurrency_per_function = 0;  // Running invocations per function.
   int max_concurrency_per_tenant = 0;    // Running invocations per tenant.
   // Observability sinks (src/obs/). When `metrics` is null the platform owns a
-  // private registry (standalone construction in unit tests); `trace` may stay
-  // null — lifecycle spans are then skipped entirely; `flight` may stay null —
-  // black-box lifecycle records are then skipped entirely.
+  // private registry (standalone construction in unit tests); `flight` may
+  // stay null — lifecycle events are then skipped entirely.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
   obs::FlightRecorder* flight = nullptr;
 };
 
@@ -375,10 +372,7 @@ class Platform {
   // `function`; 0 (unregistered function) falls back to the name lookup.
   FnMetrics& FnMetricsAt(std::uint32_t fn_index, const std::string& function);
   void RecordCompletion(const InvocationRecord& record);
-  bool Traced(std::uint64_t invocation_id) const {
-    return trace_ != nullptr && trace_->Sampled(invocation_id);
-  }
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
 
   void InvokeInternal(std::shared_ptr<Request> request);
 
@@ -440,7 +434,6 @@ class Platform {
   std::map<std::string, int> running_per_tenant_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   Metrics m_;
   std::map<std::string, FnMetrics> fn_metrics_;

@@ -20,16 +20,19 @@ Environment::Environment(Mode mode, EnvironmentOptions options) : mode_(mode) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options.trace;
-  if (trace_ == nullptr) {
+  obs::TraceRecorder* trace = options.trace;
+  if (trace == nullptr) {
     owned_trace_ = std::make_unique<obs::TraceRecorder>();  // Disabled by default.
-    trace_ = owned_trace_.get();
+    trace = owned_trace_.get();
   }
   flight_ = options.flight;
   if (flight_ == nullptr) {
     owned_flight_ = std::make_unique<obs::FlightRecorder>();  // Disabled by default.
     flight_ = owned_flight_.get();
   }
+  // One lifecycle stream, two sinks: every component reports into flight_,
+  // which draws the traced kinds into the trace.
+  flight_->set_trace(trace);
 
   Rng rng(options.seed);
   const store::StoreProfile profile = options.rsds_profile.value_or(
@@ -39,7 +42,6 @@ Environment::Environment(Mode mode, EnvironmentOptions options) : mode_(mode) {
 
   faas::PlatformOptions platform_options = options.platform;
   platform_options.metrics = metrics_;
-  platform_options.trace = trace_;
   platform_options.flight = flight_;
 
   if (mode == Mode::kOfc) {
@@ -53,18 +55,21 @@ Environment::Environment(Mode mode, EnvironmentOptions options) : mode_(mode) {
     core::OfcOptions ofc_options = options.ofc;
     ofc_options.cache_agent.worker_memory = options.platform.worker_memory;
     ofc_options.metrics = metrics_;
-    ofc_options.trace = trace_;
     ofc_options.flight = flight_;
     ofc_ = std::make_unique<core::OfcSystem>(&loop_, cluster_.get(), rsds_.get(), ofc_options);
     platform_ = std::make_unique<faas::Platform>(&loop_, platform_options,
                                                  ofc_->data_service(), ofc_->hooks(),
                                                  rng.Fork());
     ofc_->Start();
+    trace->SetProcessName(obs::kPidCache, "cache-agent");
+    trace->SetProcessName(obs::kPidStore, "rsds-writeback");
   } else {
     direct_ = std::make_unique<faas::DirectDataService>(rsds_.get());
     platform_ = std::make_unique<faas::Platform>(&loop_, platform_options, direct_.get(),
                                                  /*hooks=*/nullptr, rng.Fork());
   }
+  trace->SetProcessName(obs::kPidInvocations, "invocations");
+  trace->SetProcessName(obs::kPidPipelines, "pipelines");
 }
 
 }  // namespace ofc::faasload

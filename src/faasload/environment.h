@@ -39,9 +39,11 @@ struct EnvironmentOptions {
   std::optional<store::StoreProfile> rsds_profile;
   // Observability sinks injected into every layer (platform, cluster, OFC,
   // RSDS). Null `metrics` -> the environment owns a registry shared by all of
-  // its components; null `trace` -> the environment owns a disabled recorder
-  // (enable via trace().set_enabled(true)); null `flight` -> the environment
-  // owns a disabled flight recorder (enable via flight().set_enabled(true)).
+  // its components; null `flight` -> the environment owns a lifecycle stream
+  // with its ring disabled (enable via flight().set_enabled(true)); null
+  // `trace` -> the environment owns a disabled recorder (enable via
+  // trace().set_enabled(true)). The trace is attached to the flight stream as
+  // its second sink, so the components only ever see `flight`.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;
   obs::FlightRecorder* flight = nullptr;
@@ -50,6 +52,9 @@ struct EnvironmentOptions {
 class Environment {
  public:
   Environment(Mode mode, EnvironmentOptions options);
+  // Detaches the trace it attached, so an injected flight recorder that
+  // outlives the environment never points at an owned, destroyed trace.
+  ~Environment() { flight_->set_trace(nullptr); }
 
   Mode mode() const { return mode_; }
   sim::EventLoop& loop() { return loop_; }
@@ -60,7 +65,7 @@ class Environment {
   core::OfcSystem* ofc() { return ofc_.get(); }
   // The registry/recorder every component of this environment reports into.
   obs::MetricsRegistry& metrics() { return *metrics_; }
-  obs::TraceRecorder& trace() { return *trace_; }
+  obs::TraceRecorder& trace() { return *flight_->trace(); }
   obs::FlightRecorder& flight() { return *flight_; }
 
  private:
@@ -70,7 +75,6 @@ class Environment {
   std::unique_ptr<obs::TraceRecorder> owned_trace_;
   std::unique_ptr<obs::FlightRecorder> owned_flight_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::unique_ptr<store::ObjectStore> rsds_;
   std::unique_ptr<rc::Cluster> cluster_;

@@ -15,13 +15,9 @@ FaultInjector::FaultInjector(sim::EventLoop* loop, FaultInjectorTargets targets,
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  trace_ = options.trace;
   flight_ = options.flight;
   m_.BindCounters(*metrics_);
   active_ = metrics_->GetGauge("ofc.fault.active");
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(obs::kPidFaults, "fault-injector");
-  }
 }
 
 FaultStats FaultInjector::stats() const {
@@ -89,13 +85,12 @@ Status FaultInjector::Schedule(const FaultPlan& plan) {
   return OkStatus();
 }
 
-void FaultInjector::TraceFault(const FaultEvent& event, const char* phase) {
-  if (trace_ == nullptr || !trace_->enabled()) {
-    return;
+void FaultInjector::RecordFault(obs::FlightEventKind kind, const FaultEvent& event,
+                                std::uint64_t fault_id) {
+  if (FlightOn()) {
+    flight_->Record(loop_->now(), kind, 0, fault_id, event.target,
+                    std::string(FaultKindName(event.kind)));
   }
-  trace_->Instant(std::string(FaultKindName(event.kind)) + ":" + phase, "fault",
-                  loop_->now(), obs::kPidFaults, /*tid=*/0,
-                  {{"target", std::to_string(event.target)}});
 }
 
 void FaultInjector::Fire(const FaultEvent& event) {
@@ -105,11 +100,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
                        std::string(FaultKindName(event.kind)))
       ->Add(1);
   active_->Add(1.0);
-  TraceFault(event, "inject");
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kFaultInject, 0, fault_id,
-                    event.target, std::string(FaultKindName(event.kind)));
-  }
+  RecordFault(obs::FlightEventKind::kFaultInject, event, fault_id);
   std::optional<int> corrupted;  // Objects damaged, for the corruption kinds.
   switch (event.kind) {
     case FaultKind::kWorkerCrash:
@@ -178,11 +169,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
 void FaultInjector::Heal(const FaultEvent& event, std::uint64_t fault_id) {
   ++*m_.healed;
   active_->Add(-1.0);
-  TraceFault(event, "heal");
-  if (FlightOn()) {
-    flight_->Record(loop_->now(), obs::FlightEventKind::kFaultHeal, 0, fault_id,
-                    event.target, std::string(FaultKindName(event.kind)));
-  }
+  RecordFault(obs::FlightEventKind::kFaultHeal, event, fault_id);
   switch (event.kind) {
     case FaultKind::kWorkerCrash:
       if (--worker_crash_depth_[event.target] == 0) {

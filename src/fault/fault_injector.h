@@ -24,7 +24,6 @@
 #include "src/fault/fault_plan.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
 #include "src/store/object_store.h"
@@ -42,10 +41,8 @@ struct FaultInjectorTargets {
 
 struct FaultInjectorOptions {
   // Observability sinks (src/obs/). Null `metrics` -> private registry; null
-  // `trace` -> fault events leave no spans; null `flight` -> inject/heal pairs
-  // leave no black-box records.
+  // `flight` -> inject/heal pairs leave no lifecycle events.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* trace = nullptr;
   obs::FlightRecorder* flight = nullptr;
 };
 
@@ -78,14 +75,14 @@ class FaultInjector {
 
  private:
   void Heal(const FaultEvent& event, std::uint64_t fault_id);
-  void TraceFault(const FaultEvent& event, const char* phase);
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  // One inject or heal event; the pair shares `fault_id` as its parent id.
+  void RecordFault(obs::FlightEventKind kind, const FaultEvent& event, std::uint64_t fault_id);
+  bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
 
   sim::EventLoop* loop_;
   FaultInjectorTargets targets_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   // Monotonic id shared by an inject record and its heal record, so the flight
   // recorder's ChainFor() groups the pair as one causal fault window.

@@ -66,4 +66,13 @@ std::string CsvField(const std::string& s) {
   return quoted;
 }
 
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  return std::fclose(f) == 0 && written == text.size();
+}
+
 }  // namespace ofc::obs

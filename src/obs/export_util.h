@@ -26,6 +26,9 @@ std::string JsonNumber(double v);
 // contains a comma, quote, or newline; returned verbatim otherwise.
 std::string CsvField(const std::string& s);
 
+// Writes `text` to `path`, replacing it; false on any I/O failure.
+bool WriteTextFile(const std::string& path, const std::string& text);
+
 }  // namespace ofc::obs
 
 #endif  // OFC_OBS_EXPORT_UTIL_H_

@@ -1,103 +1,28 @@
 #include "src/obs/flight_recorder.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "src/obs/export_util.h"
 
 namespace ofc::obs {
 
-const char* FlightEventKindName(FlightEventKind kind) {
-  switch (kind) {
-    case FlightEventKind::kSubmit:
-      return "submit";
-    case FlightEventKind::kQueue:
-      return "queue";
-    case FlightEventKind::kShed:
-      return "shed";
-    case FlightEventKind::kColdStart:
-      return "cold_start";
-    case FlightEventKind::kWarmStart:
-      return "warm_start";
-    case FlightEventKind::kExtract:
-      return "extract";
-    case FlightEventKind::kTransform:
-      return "transform";
-    case FlightEventKind::kLoad:
-      return "load";
-    case FlightEventKind::kOomRescue:
-      return "oom_rescue";
-    case FlightEventKind::kOomKill:
-      return "oom_kill";
-    case FlightEventKind::kRetry:
-      return "retry";
-    case FlightEventKind::kComplete:
-      return "complete";
-    case FlightEventKind::kFail:
-      return "fail";
-    case FlightEventKind::kWorkerCrash:
-      return "worker_crash";
-    case FlightEventKind::kWorkerRestore:
-      return "worker_restore";
-    case FlightEventKind::kPipelineStart:
-      return "pipeline_start";
-    case FlightEventKind::kPipelineEnd:
-      return "pipeline_end";
-    case FlightEventKind::kCacheHit:
-      return "cache_hit";
-    case FlightEventKind::kCacheMiss:
-      return "cache_miss";
-    case FlightEventKind::kCacheAdmit:
-      return "cache_admit";
-    case FlightEventKind::kCacheWrite:
-      return "cache_write";
-    case FlightEventKind::kWriteFallback:
-      return "write_fallback";
-    case FlightEventKind::kPersistorDispatch:
-      return "persistor_dispatch";
-    case FlightEventKind::kPersistorDone:
-      return "persistor_done";
-    case FlightEventKind::kPersistorRetry:
-      return "persistor_retry";
-    case FlightEventKind::kPersistorConflict:
-      return "persistor_conflict";
-    case FlightEventKind::kWriteback:
-      return "writeback";
-    case FlightEventKind::kBreakerOpen:
-      return "breaker_open";
-    case FlightEventKind::kBreakerClose:
-      return "breaker_close";
-    case FlightEventKind::kScaleUp:
-      return "scale_up";
-    case FlightEventKind::kScaleDown:
-      return "scale_down";
-    case FlightEventKind::kMigration:
-      return "migration";
-    case FlightEventKind::kEvict:
-      return "evict";
-    case FlightEventKind::kPressureEnter:
-      return "pressure_enter";
-    case FlightEventKind::kPressureExit:
-      return "pressure_exit";
-    case FlightEventKind::kFaultInject:
-      return "fault_inject";
-    case FlightEventKind::kFaultHeal:
-      return "fault_heal";
-    case FlightEventKind::kNodeCrash:
-      return "node_crash";
-    case FlightEventKind::kNodeRestart:
-      return "node_restart";
-    case FlightEventKind::kNodeRecovered:
-      return "node_recovered";
-    case FlightEventKind::kCorruptionDetected:
-      return "corruption_detected";
-    case FlightEventKind::kCorruptionRepaired:
-      return "corruption_repaired";
-    case FlightEventKind::kNodeQuarantined:
-      return "node_quarantined";
+namespace {
+
+// Expands "$s"/"$d" in a row's name pattern to the record's subject/detail.
+std::string TraceName(const char* pattern, const std::string& subject, const std::string& detail) {
+  std::string name;
+  for (const char* p = pattern; *p != '\0'; ++p) {
+    if (p[0] == '$' && (p[1] == 's' || p[1] == 'd')) {
+      name += p[1] == 's' ? subject : detail;
+      ++p;
+    } else {
+      name += *p;
+    }
   }
-  return "unknown";
+  return name;
 }
+
+}  // namespace
 
 void FlightRecorder::set_capacity(std::size_t n) {
   options_.capacity = n == 0 ? 1 : n;
@@ -117,8 +42,12 @@ void FlightRecorder::set_capacity(std::size_t n) {
 
 void FlightRecorder::Record(SimTime time, FlightEventKind kind, std::uint64_t invocation_id,
                             std::uint64_t parent_id, std::int32_t worker, std::string subject,
-                            std::string detail) {
-  if (!options_.enabled) {
+                            std::string detail, SimDuration duration) {
+  const FlightKindSpec& spec = FlightKind(kind);
+  if (trace_ != nullptr && spec.trace.shape != kNoTrace) {
+    DrawTrace(spec.trace, time, invocation_id, parent_id, worker, subject, detail, duration);
+  }
+  if (!options_.enabled || !spec.ring) {
     return;
   }
   FlightEvent* ev;
@@ -142,6 +71,41 @@ void FlightRecorder::Record(SimTime time, FlightEventKind kind, std::uint64_t in
   ev->worker = worker;
   ev->subject = std::move(subject);
   ev->detail = std::move(detail);
+}
+
+void FlightRecorder::DrawTrace(const TraceRendering& row, SimTime time,
+                               std::uint64_t invocation_id, std::uint64_t parent_id,
+                               std::int32_t worker, const std::string& subject,
+                               const std::string& detail, SimDuration duration) {
+  std::uint64_t tid = 0;  // kTidZero.
+  if (row.tid == kTidInvocation) {
+    tid = invocation_id;
+  } else if (row.tid == kTidParent) {
+    tid = parent_id;
+  } else if (row.tid == kTidWorker) {
+    tid = static_cast<std::uint64_t>(worker);
+  }
+  const bool by_id = row.tid == kTidInvocation || row.tid == kTidParent;
+  if (!(by_id ? trace_->Sampled(tid) : trace_->enabled())) {
+    return;
+  }
+  TraceRecorder::Args args;
+  if (row.worker_arg[0] != '\0') {
+    args.emplace_back(row.worker_arg, std::to_string(worker));
+  }
+  if (row.subject_arg[0] != '\0') {
+    args.emplace_back(row.subject_arg, subject);
+  }
+  if (row.detail_arg[0] != '\0') {
+    args.emplace_back(row.detail_arg, detail);
+  }
+  const std::string name = TraceName(row.name, subject, detail);
+  if (row.shape == kInstant) {
+    trace_->Instant(name, row.category, time, row.pid, tid, std::move(args));
+  } else {
+    const SimTime start = row.shape == kSpanTo ? time - duration : time;
+    trace_->Span(name, row.category, start, duration, row.pid, tid, std::move(args));
+  }
 }
 
 std::vector<const FlightEvent*> FlightRecorder::ChainFor(std::uint64_t invocation_id) const {
@@ -198,13 +162,7 @@ std::string FlightRecorder::ToJson(const std::string& reason) const {
 }
 
 bool FlightRecorder::WriteJson(const std::string& path, const std::string& reason) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson(reason);
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 && written == json.size();
+  return WriteTextFile(path, ToJson(reason));
 }
 
 void FlightRecorder::Clear() {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/obs/export_util.h"
 
@@ -195,13 +194,7 @@ std::string TimelineRecorder::ToJson() const {
 }
 
 bool TimelineRecorder::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 && written == json.size();
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace ofc::obs

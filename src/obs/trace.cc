@@ -1,19 +1,11 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <utility>
 
 #include "src/obs/export_util.h"
 
 namespace ofc::obs {
-
-bool TraceRecorder::Admit() {
-  if (events_.size() >= options_.max_events) {
-    ++dropped_;
-    return false;
-  }
-  return true;
-}
 
 void TraceRecorder::SetProcessName(int pid, const std::string& name) {
   Event ev;
@@ -34,51 +26,35 @@ void TraceRecorder::SetThreadName(int pid, std::uint64_t tid, const std::string&
   metadata_.push_back(std::move(ev));
 }
 
-void TraceRecorder::Span(const std::string& name, const std::string& category, SimTime start,
-                         SimDuration duration, int pid, std::uint64_t tid, Args args) {
-  if (!options_.enabled || !Admit()) {
+void TraceRecorder::Add(char phase, const std::string& name, const std::string& category,
+                        SimTime ts, SimDuration duration, int pid, std::uint64_t tid, Args args) {
+  if (!options_.enabled) {
+    return;
+  }
+  if (events_.size() >= options_.max_events) {
+    ++dropped_;
     return;
   }
   Event ev;
-  ev.phase = 'X';
+  ev.phase = phase;
   ev.name = name;
   ev.category = category;
-  ev.ts = start;
-  ev.duration = duration < 0 ? 0 : duration;
+  ev.ts = ts;
+  ev.duration = duration;
   ev.pid = pid;
   ev.tid = tid;
   ev.args = std::move(args);
   events_.push_back(std::move(ev));
+}
+
+void TraceRecorder::Span(const std::string& name, const std::string& category, SimTime start,
+                         SimDuration duration, int pid, std::uint64_t tid, Args args) {
+  Add('X', name, category, start, duration < 0 ? 0 : duration, pid, tid, std::move(args));
 }
 
 void TraceRecorder::Instant(const std::string& name, const std::string& category, SimTime ts,
                             int pid, std::uint64_t tid, Args args) {
-  if (!options_.enabled || !Admit()) {
-    return;
-  }
-  Event ev;
-  ev.phase = 'i';
-  ev.name = name;
-  ev.category = category;
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.args = std::move(args);
-  events_.push_back(std::move(ev));
-}
-
-void TraceRecorder::CounterSample(const std::string& name, SimTime ts, int pid, double value) {
-  if (!options_.enabled || !Admit()) {
-    return;
-  }
-  Event ev;
-  ev.phase = 'C';
-  ev.name = name;
-  ev.category = "counter";
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.value = value;
-  events_.push_back(std::move(ev));
+  Add('i', name, category, ts, 0, pid, tid, std::move(args));
 }
 
 void TraceRecorder::Clear() {
@@ -127,13 +103,7 @@ std::string TraceRecorder::ToJson() const {
     }
     out += ", \"pid\": " + std::to_string(ev.pid);
     out += ", \"tid\": " + std::to_string(ev.tid);
-    if (ev.phase == 'C') {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", ev.value);
-      out += ", \"args\": {\"value\": ";
-      out += buf;
-      out += "}";
-    } else if (!ev.args.empty()) {
+    if (!ev.args.empty()) {
       out += ", \"args\": {";
       bool first_arg = true;
       for (const auto& [key, value] : ev.args) {
@@ -158,14 +128,7 @@ std::string TraceRecorder::ToJson() const {
 }
 
 bool TraceRecorder::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == json.size();
-  return ok;
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace ofc::obs

@@ -1,17 +1,20 @@
-// TraceRecorder: per-invocation lifecycle tracing on the simulated clock.
+// TraceRecorder: Chrome trace-event rendering of the lifecycle stream.
 //
-// Components emit spans (Chrome trace-event "X" complete events) and instants
-// ("i" events) stamped with sim::EventLoop time; the recorder serializes them
+// The recorder holds spans (Chrome trace-event "X" complete events) and
+// instants ("i" events) stamped with sim::EventLoop time and serializes them
 // as Chrome trace-event JSON, so a run opens directly in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing.
 //
-// Recording is OFF by default — every emit site guards on `enabled()` (one
-// branch), so tier-1 runtimes are unaffected. When on, per-invocation spans can
-// be sampled (`sample_period = N` records every Nth invocation id) and the
-// total event count is hard-capped so a runaway run cannot exhaust memory.
+// Components never call it: they record each lifecycle point once on the
+// FlightRecorder (flight_recorder.h), which draws the kinds its
+// OFC_FLIGHT_EVENT_KINDS rows render into the attached TraceRecorder. The
+// obs layer's own SloMonitor is the one direct emitter. Recording is OFF by
+// default; when on, per-invocation spans can be sampled (`sample_period = N`
+// records every Nth invocation id) and the total event count is hard-capped
+// so a runaway run cannot exhaust memory.
 //
-// Track layout convention (pid/tid pairs shared by the instrumented layers):
-//   * kPidInvocations — tid = invocation id; submit/queue/startup/E/T/L spans;
+// Track layout convention (pid/tid pairs named by the kind rows):
+//   * kPidInvocations — tid = invocation id; queue/startup/E/T/L spans;
 //   * kPidPipelines   — tid = pipeline id; whole-pipeline spans;
 //   * kPidCache       — tid = worker/node id; CacheAgent scaling + migrations;
 //   * kPidStore       — tid = 0; persistor write-backs against the RSDS;
@@ -79,9 +82,6 @@ class TraceRecorder {
   void Instant(const std::string& name, const std::string& category, SimTime ts, int pid,
                std::uint64_t tid, Args args = {});
 
-  // Counter event ("C"): a time series rendered as a stacked chart.
-  void CounterSample(const std::string& name, SimTime ts, int pid, double value);
-
   std::size_t num_events() const { return events_.size(); }
   std::size_t num_dropped() const { return dropped_; }
   void Clear();
@@ -102,11 +102,12 @@ class TraceRecorder {
     SimDuration duration = 0;
     int pid = 0;
     std::uint64_t tid = 0;
-    double value = 0.0;  // "C" events only.
     Args args;
   };
 
-  bool Admit();
+  // Appends one body event unless recording is off or the cap is reached.
+  void Add(char phase, const std::string& name, const std::string& category, SimTime ts,
+           SimDuration duration, int pid, std::uint64_t tid, Args args);
 
   TraceOptions options_;
   std::vector<Event> events_;

@@ -344,7 +344,7 @@ class Cluster {
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
-  bool FlightOn() const { return flight_ != nullptr && flight_->enabled(); }
+  bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
   Metrics m_;
 };
 

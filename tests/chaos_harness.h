@@ -236,7 +236,7 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
       &env.loop(),
       fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
                                   &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), &env.trace(), &env.flight()});
+      fault::FaultInjectorOptions{&env.metrics(), &env.flight()});
   if (Status plan_status = injector.Schedule(options.plan); !plan_status.ok()) {
     violate("setup: fault plan rejected: " + plan_status.message());
     return finalize();

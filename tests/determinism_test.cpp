@@ -95,7 +95,7 @@ RunFingerprint RunFaultScenario(std::uint64_t seed, std::uint64_t hash_salt,
       &env.loop(),
       fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
                                   &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), &env.trace()});
+      fault::FaultInjectorOptions{&env.metrics(), &env.flight()});
   if (with_faults) {
     EXPECT_TRUE(faults.Schedule(*plan).ok());
   }

@@ -741,7 +741,7 @@ TEST(FaultInjectorTest, WorkerCrashHealsIntoRestore) {
   FaultInjector injector(&env.loop(),
                          FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
                                               &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.trace()});
+                         FaultInjectorOptions{&env.metrics(), &env.flight()});
   FaultPlan plan;
   plan.events = {FaultEvent{Seconds(1), FaultKind::kWorkerCrash, 1, Seconds(2)}};
   ASSERT_TRUE(injector.Schedule(plan).ok());
@@ -763,7 +763,7 @@ TEST(FaultInjectorTest, OverlappingCrashWindowsRestoreAtLastClose) {
   FaultInjector injector(&env.loop(),
                          FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
                                               &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.trace()});
+                         FaultInjectorOptions{&env.metrics(), &env.flight()});
   FaultPlan plan;
   plan.events = {
       FaultEvent{Seconds(1), FaultKind::kWorkerCrash, 1, Seconds(2)},  // Heals at 3.
@@ -795,7 +795,7 @@ TEST(FaultInjectorTest, MachineCrashTakesDownWorkerAndNode) {
   FaultInjector injector(&env.loop(),
                          FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
                                               &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.trace()});
+                         FaultInjectorOptions{&env.metrics(), &env.flight()});
   FaultPlan plan;
   plan.events = {FaultEvent{Seconds(1), FaultKind::kMachineCrash, 0, Seconds(2)}};
   ASSERT_TRUE(injector.Schedule(plan).ok());
@@ -817,7 +817,7 @@ TEST(FaultInjectorTest, CorruptionFiresInstantlyAndCountsDamagedObjects) {
   FaultInjector injector(&env.loop(),
                          FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
                                               &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.trace()});
+                         FaultInjectorOptions{&env.metrics(), &env.flight()});
   // One cache object mastered on node 0, one durable store object. The events
   // fire shortly after the write lands, before the cache agent's sweeps can
   // reclaim the untouched object.

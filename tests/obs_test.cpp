@@ -21,6 +21,7 @@
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
 #include "src/fault/fault_injector.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
@@ -313,10 +314,12 @@ TEST(TracedPlatformTest, TwoInvocationsProduceLifecycleSpans) {
   TraceOptions trace_options;
   trace_options.enabled = true;
   TraceRecorder trace(trace_options);
+  FlightRecorder flight;  // Ring off: the trace is the only sink.
+  flight.set_trace(&trace);
 
   faas::PlatformOptions options;
   options.metrics = &metrics;
-  options.trace = &trace;
+  options.flight = &flight;
   faas::Platform platform(&loop, options, &data, /*hooks=*/nullptr, Rng(2));
   faas::FunctionConfig config;
   config.spec = TinySpec();
@@ -379,9 +382,11 @@ TEST(TracedPlatformTest, SamplingSkipsUnsampledInvocations) {
   trace_options.enabled = true;
   trace_options.sample_period = 1000;  // Only invocation ids divisible by 1000.
   TraceRecorder trace(trace_options);
+  FlightRecorder flight;
+  flight.set_trace(&trace);
 
   faas::PlatformOptions options;
-  options.trace = &trace;
+  options.flight = &flight;
   faas::Platform platform(&loop, options, &data, /*hooks=*/nullptr, Rng(2));
   faas::FunctionConfig config;
   config.spec = TinySpec();
@@ -400,7 +405,7 @@ TEST(TracedPlatformTest, SamplingSkipsUnsampledInvocations) {
   while (!done && loop.Step()) {
   }
   ASSERT_TRUE(done);
-  // Only metadata events (process names) — the invocation itself was unsampled.
+  // No spans — the invocation itself was unsampled.
   const std::string json = trace.ToJson();
   EXPECT_EQ(json.find("\"extract\""), std::string::npos);
   EXPECT_EQ(json.find("\"ph\": \"X\""), std::string::npos);

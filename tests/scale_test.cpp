@@ -164,7 +164,7 @@ TEST(ScaleTest, IntegrityHoldsThroughBitFlipStormAtScale) {
       &env.loop(),
       fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
                                   &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), nullptr, nullptr});
+      fault::FaultInjectorOptions{&env.metrics(), nullptr});
   ASSERT_TRUE(fault_injector.Schedule(plan).ok());
 
   core::ScrubberOptions scrub_options;

@@ -1,6 +1,7 @@
 // Tests for the second-generation observability layer: timeline windowing
 // math, SLO burn-rate alerting, the flight recorder ring, and exporter
 // escaping under hostile metric/label names.
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/obs/timeline.h"
+#include "src/obs/trace.h"
 
 namespace ofc::obs {
 namespace {
@@ -360,6 +362,84 @@ TEST(FlightRecorderTest, JsonDumpEscapesHostilePayloadsAndCarriesReason) {
   EXPECT_NE(dump.find("line\\nbreak"), std::string::npos);
   EXPECT_EQ(dump.find("line\nbreak"), std::string::npos);
   EXPECT_NE(dump.find("\"total_recorded\": 1"), std::string::npos);
+}
+
+// ---- One stream, two sinks ---------------------------------------------------
+
+// Every row of OFC_FLIGHT_EVENT_KINDS, recorded with the ring only, the trace
+// only, and both sinks on: the ring takes the event exactly when it is enabled
+// and the row is in the ring; the trace draws it exactly when the row renders
+// and its id is sampled. An id that sampling skips still reaches the ring.
+TEST(FlightStreamTest, EveryKindFansOutToTheSinksItsRowNames) {
+  struct Sinks {
+    bool ring;
+    bool trace;
+  };
+  for (const Sinks sinks : {Sinks{true, false}, Sinks{false, true}, Sinks{true, true}}) {
+    for (std::size_t k = 0; k < std::size(kFlightKinds); ++k) {
+      const FlightKindSpec& row = kFlightKinds[k];
+      SCOPED_TRACE(std::string(row.wire) + (sinks.ring ? " ring" : "") +
+                   (sinks.trace ? " trace" : ""));
+      FlightRecorder flight({/*enabled=*/sinks.ring, /*capacity=*/16});
+      TraceRecorder trace({/*enabled=*/true, /*sample_period=*/2});
+      if (sinks.trace) {
+        flight.set_trace(&trace);
+      }
+      EXPECT_TRUE(flight.active());
+      const auto kind = static_cast<FlightEventKind>(k);
+      const bool renders = sinks.trace && row.trace.shape != kNoTrace;
+      const bool by_id =
+          row.trace.tid == kTidInvocation || row.trace.tid == kTidParent;
+      // Sampled ids (4 % 2 == 0), then ids the 1-in-2 sampling skips.
+      flight.Record(Seconds(5), kind, /*invocation_id=*/4, /*parent_id=*/4, /*worker=*/1, "s",
+                    "d", Seconds(1));
+      EXPECT_EQ(flight.total_recorded(), sinks.ring && row.ring ? 1u : 0u);
+      EXPECT_EQ(trace.num_events(), renders ? 1u : 0u);
+      flight.Record(Seconds(6), kind, /*invocation_id=*/3, /*parent_id=*/3, /*worker=*/1, "s",
+                    "d", Seconds(1));
+      EXPECT_EQ(flight.total_recorded(), sinks.ring && row.ring ? 2u : 0u);
+      EXPECT_EQ(trace.num_events(), renders ? (by_id ? 1u : 2u) : 0u);
+    }
+  }
+}
+
+TEST(FlightStreamTest, GuardIsOffOnlyWhenBothSinksAre) {
+  FlightRecorder flight;
+  EXPECT_FALSE(flight.active());
+  TraceRecorder trace;  // Disabled.
+  flight.set_trace(&trace);
+  EXPECT_FALSE(flight.active());
+  trace.set_enabled(true);
+  EXPECT_TRUE(flight.active());
+  trace.set_enabled(false);
+  flight.set_enabled(true);
+  EXPECT_TRUE(flight.active());
+}
+
+TEST(FlightStreamTest, RowsRenderSpanTimingNamesAndArgs) {
+  FlightRecorder flight;
+  TraceRecorder trace({/*enabled=*/true});
+  flight.set_trace(&trace);
+  // Starts at the record time; worker and subject become args.
+  flight.Record(Millis(10), FlightEventKind::kColdStart, 1, 0, 2, "fn", "", Millis(3));
+  // Ends at the record time; the name is the subject.
+  flight.Record(Millis(50), FlightEventKind::kComplete, 1, 0, 2, "fn", "", Millis(40));
+  // Instant named from the subject, on the shared track.
+  flight.Record(Millis(60), FlightEventKind::kFaultInject, 0, 9, 1, "node_crash");
+  const std::string json = trace.ToJson();
+  const std::string cold_start =
+      R"({"name": "cold-start", "cat": "sandbox", "ph": "X", "ts": 10000, "dur": 3000, )"
+      R"("pid": 1, "tid": 1, "args": {"worker": "2", "function": "fn"}})";
+  const std::string complete =
+      R"({"name": "fn", "cat": "invocation", "ph": "X", "ts": 10000, "dur": 40000, )"
+      R"("pid": 1, "tid": 1, "args": {"worker": "2"}})";
+  const std::string fault =
+      R"({"name": "node_crash:inject", "cat": "fault", "ph": "i", "ts": 60000, "s": "t", )"
+      R"("pid": 5, "tid": 0, "args": {"target": "1"}})";
+  EXPECT_NE(json.find(cold_start), std::string::npos) << json;
+  EXPECT_NE(json.find(complete), std::string::npos) << json;
+  EXPECT_NE(json.find(fault), std::string::npos) << json;
+  EXPECT_EQ(flight.total_recorded(), 0u);  // Ring off: trace only.
 }
 
 // ---- Exporter escaping (hostile metric/label names) --------------------------

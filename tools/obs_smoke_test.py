@@ -9,7 +9,12 @@ Drives the built CLI binary through the telemetry paths CI cares about:
      naming the path — for every artifact flag (never a silent exit 0);
   3. the negative post-mortem path: --inject-breach-at trips a SIM_ASSERT and
      --dump-on-assert captures a flight dump naming the breach, with the
-     process exiting nonzero.
+     process exiting nonzero;
+  4. injected faults reach the flight dump: a --crash-node-at run records the
+     fault_inject/fault_heal pair next to the node_crash/node_restart it
+     caused;
+  5. malformed or out-of-range numeric flags exit nonzero with a message
+     naming the flag (never a crash, never a silent empty run).
 
 Usage: obs_smoke_test.py <path-to-ofc-sim> [--keep-artifacts DIR]
 Exit status: 0 clean, 1 failure, 2 usage error.
@@ -32,9 +37,9 @@ def fail(msg):
     print(f"obs_smoke_test: FAIL: {msg}", file=sys.stderr)
 
 
-def run(binary, args, **kwargs):
+def run(binary, args, timeout=300):
     return subprocess.run([binary] + args, capture_output=True, text=True,
-                          timeout=300, **kwargs)
+                          timeout=timeout)
 
 
 def check_scraped_run(binary, outdir):
@@ -97,6 +102,39 @@ def check_breach_dump(binary, outdir):
         fail("breach dump carries no flight events (no causal chain)")
 
 
+def check_fault_records(binary, outdir):
+    flight = os.path.join(outdir, "fault_flight.json")
+    proc = run(binary, ["--duration-min=3", "--pretrain=50",
+                        "--crash-node-at=1:60:30", "--flight-recorder=100000",
+                        f"--flight-json={flight}"])
+    if proc.returncode != 0:
+        fail(f"fault run exited {proc.returncode}: {proc.stderr.strip()}")
+        return
+    with open(flight, "r", encoding="utf-8") as f:
+        kinds = {event["kind"] for event in json.load(f)["events"]}
+    for kind in ("fault_inject", "fault_heal", "node_crash", "node_restart"):
+        if kind not in kinds:
+            fail(f"--crash-node-at flight dump has no {kind} record")
+
+
+def check_bad_numeric_flags(binary):
+    for arg in ("--workers=abc", "--workers=0", "--duration-min=-3",
+                "--duration-min=5x", "--interval-s=0", "--seed=-1",
+                "--pretrain=", "--queue-deadline-s=nan"):
+        try:
+            proc = run(binary, [arg], timeout=60)
+        except subprocess.TimeoutExpired:
+            fail(f"{arg} still running after 60 s; expected a prompt exit")
+            continue
+        flag = arg.split("=", 1)[0]
+        if proc.returncode <= 0:
+            fail(f"{arg} exited {proc.returncode}; expected a nonzero exit "
+                 f"(negative = killed by a signal)")
+        if flag not in proc.stderr:
+            fail(f"{arg}: stderr does not name the flag: "
+                 f"{proc.stderr.strip()!r}")
+
+
 def main():
     if len(sys.argv) < 2:
         print(__doc__, file=sys.stderr)
@@ -109,6 +147,8 @@ def main():
         check_scraped_run(binary, outdir)
         check_unwritable_outputs(binary)
         check_breach_dump(binary, outdir)
+        check_fault_records(binary, outdir)
+        check_bad_numeric_flags(binary)
     if _failures:
         print(f"obs_smoke_test: {len(_failures)} failure(s)", file=sys.stderr)
         return 1

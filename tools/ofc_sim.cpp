@@ -20,11 +20,13 @@
 //   ofc_sim --fault-plan=rot.json --scrub-interval-s=5   # corruption + scrubbing
 //   ofc_sim --selfcheck-determinism              # replay twice, diff metrics
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -188,6 +190,28 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
     start = comma + 1;
   }
   return out;
+}
+
+// Parses all of `value` as a number no lower than `min` (strictly above it
+// when `above`); otherwise names the flag on stderr and returns false, so
+// "--workers=abc" or "--duration-min=-3" fail loudly instead of running a
+// degenerate scenario.
+template <typename T>
+bool ParseNumber(const char* flag, const std::string& value, T min, T* out, bool above = false) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  bool ok = ec == std::errc() && ptr == end && (above ? parsed > min : parsed >= min);
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(parsed);
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s=%s: want a number %s %g\n", flag, value.c_str(), above ? ">" : ">=",
+                 static_cast<double>(min));
+    return false;
+  }
+  *out = parsed;
+  return true;
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -404,7 +428,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     targets.proxy = env.ofc() != nullptr ? &env.ofc()->proxy() : nullptr;
     faults = std::make_unique<fault::FaultInjector>(
         &env.loop(), targets,
-        fault::FaultInjectorOptions{&env.metrics(), &env.trace()});
+        fault::FaultInjectorOptions{&env.metrics(), &env.flight()});
+    env.trace().SetProcessName(obs::kPidFaults, "fault-injector");
     if (Status scheduled = faults->Schedule(flags.fault_plan); !scheduled.ok()) {
       std::fprintf(stderr, "fault plan: %s\n", scheduled.message().c_str());
       return 1;
@@ -783,17 +808,29 @@ int Main(int argc, char** argv) {
       flags.pipelines = SplitCsv(value);
     } else if (ParseFlag(argv[i], "--arrivals", &flags.arrivals)) {
     } else if (ParseFlag(argv[i], "--duration-min", &value)) {
-      flags.duration_min = std::atoi(value.c_str());
+      if (!ParseNumber("--duration-min", value, 1, &flags.duration_min)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--interval-s", &value)) {
-      flags.interval_s = std::atof(value.c_str());
+      if (!ParseNumber("--interval-s", value, 0.0, &flags.interval_s, /*above=*/true)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--workers", &value)) {
-      flags.workers = std::atoi(value.c_str());
+      if (!ParseNumber("--workers", value, 1, &flags.workers)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--worker-gb", &value)) {
-      flags.worker_gb = std::atoi(value.c_str());
+      if (!ParseNumber("--worker-gb", value, 1, &flags.worker_gb)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber("--seed", value, std::uint64_t{0}, &flags.seed)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--pretrain", &value)) {
-      flags.pretrain = std::atoi(value.c_str());
+      if (!ParseNumber("--pretrain", value, 0, &flags.pretrain)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--cache-policy", &flags.cache_policy)) {
       const auto spec = core::ParseCachePolicySpec(flags.cache_policy);
       if (!spec.ok()) {
@@ -804,13 +841,14 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--metrics-csv", &flags.metrics_csv)) {
     } else if (ParseFlag(argv[i], "--trace-json", &flags.trace_json)) {
     } else if (ParseFlag(argv[i], "--trace-sample", &value)) {
-      flags.trace_sample = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber("--trace-sample", value, std::uint64_t{1}, &flags.trace_sample)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--log-sim-time") == 0) {
       flags.log_sim_time = true;
     } else if (ParseFlag(argv[i], "--scrape-interval-s", &value)) {
-      flags.scrape_interval_s = std::atof(value.c_str());
-      if (flags.scrape_interval_s <= 0.0) {
-        std::fprintf(stderr, "--scrape-interval-s must be > 0\n");
+      if (!ParseNumber("--scrape-interval-s", value, 0.0, &flags.scrape_interval_s,
+                       /*above=*/true)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--timeline-json", &flags.timeline_json)) {
@@ -831,15 +869,15 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
       flags.flight_capacity = 4096;
     } else if (ParseFlag(argv[i], "--flight-recorder", &value)) {
-      flags.flight_capacity = std::strtoull(value.c_str(), nullptr, 10);
-      if (flags.flight_capacity == 0) {
-        std::fprintf(stderr, "--flight-recorder=N needs N > 0\n");
+      if (!ParseNumber("--flight-recorder", value, std::size_t{1}, &flags.flight_capacity)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--flight-json", &flags.flight_json)) {
     } else if (ParseFlag(argv[i], "--dump-on-assert", &flags.dump_on_assert)) {
     } else if (ParseFlag(argv[i], "--inject-breach-at", &value)) {
-      flags.inject_breach_at_s = std::atof(value.c_str());
+      if (!ParseNumber("--inject-breach-at", value, 0.0, &flags.inject_breach_at_s)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--fault-plan", &value)) {
       std::string body;
       if (!ReadFile(value, &body)) {
@@ -861,31 +899,41 @@ int Main(int argc, char** argv) {
       }
       flags.fault_plan.events.push_back(event);
     } else if (ParseFlag(argv[i], "--scrub-interval-s", &value)) {
-      flags.scrub_interval_s = std::atof(value.c_str());
-      if (flags.scrub_interval_s <= 0.0) {
-        std::fprintf(stderr, "--scrub-interval-s must be > 0\n");
+      if (!ParseNumber("--scrub-interval-s", value, 0.0, &flags.scrub_interval_s, /*above=*/true)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--queue-limit", &value)) {
-      flags.queue_limit = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber("--queue-limit", value, std::size_t{0}, &flags.queue_limit)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--queue-deadline-s", &value)) {
-      flags.queue_deadline_s = std::atof(value.c_str());
+      if (!ParseNumber("--queue-deadline-s", value, 0.0, &flags.queue_deadline_s)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--max-concurrency", &value)) {
-      flags.max_concurrency = std::atoi(value.c_str());
+      if (!ParseNumber("--max-concurrency", value, 0, &flags.max_concurrency)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-threshold", &value)) {
-      flags.breaker_threshold = std::atoi(value.c_str());
+      if (!ParseNumber("--breaker-threshold", value, 0, &flags.breaker_threshold)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-open-s", &value)) {
-      flags.breaker_open_s = std::atof(value.c_str());
+      if (!ParseNumber("--breaker-open-s", value, 0.0, &flags.breaker_open_s)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-probes", &value)) {
-      flags.breaker_probes = std::atoi(value.c_str());
+      if (!ParseNumber("--breaker-probes", value, 1, &flags.breaker_probes)) {
+        return 1;
+      }
     } else if (ParseFlag(argv[i], "--breaker-slo-ms", &value)) {
-      flags.breaker_slo_ms = std::atof(value.c_str());
+      if (!ParseNumber("--breaker-slo-ms", value, 0.0, &flags.breaker_slo_ms)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       flags.progress = true;
     } else if (ParseFlag(argv[i], "--max-events", &value)) {
-      flags.max_events = std::strtoull(value.c_str(), nullptr, 10);
-      if (flags.max_events == 0) {
-        std::fprintf(stderr, "--max-events=N needs N > 0\n");
+      if (!ParseNumber("--max-events", value, std::uint64_t{1}, &flags.max_events)) {
         return 1;
       }
     } else if (std::strcmp(argv[i], "--selfcheck-determinism") == 0) {

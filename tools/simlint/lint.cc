@@ -262,8 +262,10 @@ class Analyzer {
     }
     static const std::set<std::string> kEmits = {"Span", "Instant", "CounterSample",
                                                  "Record"};
-    static const std::set<std::string> kGuards = {"enabled", "Enabled", "Sampled",
-                                                  "Traced", "FlightOn"};
+    // The lifecycle stream's guard: FlightRecorder::active() (either sink on)
+    // or a component's FlightOn() wrapper around it. A ring-only enabled()
+    // guard would silently drop the trace sink, so it does not count.
+    static const std::set<std::string> kGuards = {"active", "FlightOn"};
     // Lines containing a guard call.
     std::set<int> guard_lines;
     for (std::size_t i = 0; i + 1 < Size(); ++i) {
@@ -302,7 +304,7 @@ class Analyzer {
       if (!guarded) {
         Report(Tok(i).line, "unguarded-trace",
                "trace/flight emit via '" + Tok(r).text +
-                   "' without a nearby enabled()/Sampled()/FlightOn() guard; "
+                   "' without a nearby FlightOn()/active() guard; "
                    "disabled observability must cost one branch, not formatting");
       }
     }

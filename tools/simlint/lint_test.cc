@@ -207,10 +207,11 @@ TEST(SimlintTest, FlagsNakedNewAndDelete) {
 TEST(SimlintTest, FlagsUnguardedTraceEmitsInComponentCode) {
   const auto findings = LintSource("src/core/violation_unguarded_trace.cc",
                                    ReadFixture("violation_unguarded_trace.cc"));
-  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings.size(), 3u);
   EXPECT_TRUE(AllRule(findings, "unguarded-trace"));
   EXPECT_TRUE(HasFinding(findings, "unguarded-trace", 17));  // bare trace_->Instant
   EXPECT_TRUE(HasFinding(findings, "unguarded-trace", 29));  // guard out of window
+  EXPECT_TRUE(HasFinding(findings, "unguarded-trace", 34));  // ring-only enabled() guard
 }
 
 TEST(SimlintTest, UnguardedTraceRuleOnlyAppliesUnderSrc) {

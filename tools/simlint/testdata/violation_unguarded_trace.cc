@@ -1,6 +1,6 @@
-// Fixture: unguarded-trace rule. Linted under a src/-prefixed label; emit
-// calls on trace/flight receivers must have an enabled()-style guard within
-// the preceding lines.
+// Fixture: unguarded-trace rule (lexed, never compiled). Under a src/ label,
+// emits on trace/flight receivers need the lifecycle stream's guard
+// (FlightOn() / active()) within the preceding lines.
 #include <string>
 
 struct Recorder {
@@ -30,16 +30,18 @@ struct Component {
   }
 
   void Guarded() {
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->Instant("ok");  // guarded: enabled() two lines up
+    if (flight_->enabled()) {
+      flight_->Record("bad");  // line 34: ring-only guard skips the trace sink
+    }
+    if (flight_ != nullptr && flight_->active()) {
+      flight_->Record("ok");  // guarded: the stream's active() one line up
     }
     if (FlightOn()) {
       flight_->Record("ok");  // guarded: FlightOn() one line up
     }
   }
 
-  bool FlightOn() const { return flight_ != nullptr && flight_->on; }
-  bool enabled() const { return true; }
+  bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
 
   Recorder* trace_ = nullptr;
   Recorder* flight_ = nullptr;
