@@ -8,11 +8,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -32,25 +32,20 @@ struct ObsFlags {
   bool TraceRequested() const { return !trace_json.empty(); }
 };
 
-inline ObsFlags ParseObsFlags(int argc, char** argv) {
+// Nullopt (after naming the flag on stderr) when --trace-sample is not a
+// positive integer.
+inline std::optional<ObsFlags> ParseObsFlags(int argc, char** argv) {
   ObsFlags flags;
-  auto match = [](const char* arg, const char* name, std::string* out) {
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-      *out = arg + len + 1;
-      return true;
-    }
-    return false;
-  };
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (match(argv[i], "--metrics-json", &flags.metrics_json) ||
-        match(argv[i], "--metrics-csv", &flags.metrics_csv) ||
-        match(argv[i], "--trace-json", &flags.trace_json)) {
+    if (ParseFlag(argv[i], "--metrics-json", &flags.metrics_json) ||
+        ParseFlag(argv[i], "--metrics-csv", &flags.metrics_csv) ||
+        ParseFlag(argv[i], "--trace-json", &flags.trace_json)) {
       continue;
     }
-    if (match(argv[i], "--trace-sample", &value)) {
-      flags.trace_sample = std::strtoull(value.c_str(), nullptr, 10);
+    if (ParseFlag(argv[i], "--trace-sample", &value) &&
+        !ParseNumber("--trace-sample", value, std::uint64_t{1}, &flags.trace_sample)) {
+      return std::nullopt;
     }
   }
   return flags;

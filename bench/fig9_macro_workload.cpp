@@ -5,11 +5,12 @@
 // Expected shape: OFC always beats OWK-Swift, by roughly 24-80 % with 8
 // tenants; with 24 tenants the hit ratio drops and the improvement shrinks.
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "bench/macro_common.h"
+#include "src/common/flags.h"
 
 namespace ofc {
 namespace {
@@ -83,10 +84,12 @@ void Run(int tenants_per_function) {
 int main(int argc, char** argv) {
   int tenants_per_function = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tenants-per-function=", 23) == 0) {
-      tenants_per_function = std::atoi(argv[i] + 23);
+    std::string value;
+    if (ofc::ParseFlag(argv[i], "--tenants-per-function", &value) &&
+        !ofc::ParseNumber("--tenants-per-function", value, 1, &tenants_per_function)) {
+      return 2;
     }
   }
-  ofc::Run(tenants_per_function < 1 ? 1 : tenants_per_function);
+  ofc::Run(tenants_per_function);
   return 0;
 }

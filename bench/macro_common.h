@@ -24,11 +24,6 @@ struct MacroConfig {
   std::uint64_t seed = 2021;
   int pretrain_invocations = 1000;  // Offline ML stage (artifact ships this).
   SimDuration cache_sample_period = Seconds(30);
-  // Cache eviction/sweep policy spec (OFC mode; see src/core/cache_policy.h).
-  std::string cache_policy = "lru";
-  // Memory per worker. The paper's machines are 512 GB; the policy-comparison
-  // bench shrinks this to put the cache under real eviction pressure.
-  Bytes worker_memory = GiB(160);
   // Optional lifecycle tracing for this run (null = off, zero overhead).
   obs::TraceRecorder* trace = nullptr;
 };
@@ -61,11 +56,10 @@ inline MacroResult RunMacro(const MacroConfig& config) {
   env_options.metrics = metrics.get();
   env_options.trace = config.trace;
   env_options.platform.num_workers = 4;
-  // Default 160 GiB: the paper's workers are 512 GB machines; the invoker
-  // pools must absorb the pipeline fan-outs' concurrent 2 GB-booked sandboxes
-  // under the naive profile without queueing.
-  env_options.platform.worker_memory = config.worker_memory;
-  env_options.ofc.cache_policy = config.cache_policy;
+  // 160 GiB: the paper's workers are 512 GB machines; the invoker pools must
+  // absorb the pipeline fan-outs' concurrent 2 GB-booked sandboxes under the
+  // naive profile without queueing.
+  env_options.platform.worker_memory = GiB(160);
   env_options.seed = config.seed;
   faasload::Environment env(config.mode, env_options);
 

@@ -21,7 +21,6 @@
 
 #include <chrono>  // simlint: allow(wall-clock) -- this bench measures the simulator's real throughput, not simulated time
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -29,6 +28,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/legacy_event_loop.h"
+#include "src/common/flags.h"
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
 #include "src/obs/export_util.h"
@@ -128,33 +128,29 @@ int Main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    auto value = [&](const char* name) -> const char* {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        return arg + len + 1;
-      }
-      return nullptr;
-    };
-    if (const char* v = value("--invocations")) {
-      flags.invocations = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--tenants")) {
-      flags.tenants = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--duration-s")) {
-      flags.duration_s = std::strtod(v, nullptr);
-    } else if (const char* v = value("--seed")) {
-      flags.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--mode")) {
-      flags.mode = v;
-    } else if (const char* v = value("--out")) {
-      flags.out = v;
-    } else if (const char* v = value("--loop-events")) {
-      flags.loop_events = std::strtoull(v, nullptr, 10);
+    std::string v;
+    bool ok = true;
+    if (ParseFlag(arg, "--invocations", &v)) {
+      ok = ParseNumber("--invocations", v, std::uint64_t{1}, &flags.invocations);
+    } else if (ParseFlag(arg, "--tenants", &v)) {
+      ok = ParseNumber("--tenants", v, std::size_t{1}, &flags.tenants);
+    } else if (ParseFlag(arg, "--duration-s", &v)) {
+      ok = ParseNumber("--duration-s", v, 0.0, &flags.duration_s, /*above=*/true);
+    } else if (ParseFlag(arg, "--seed", &v)) {
+      ok = ParseNumber("--seed", v, std::uint64_t{0}, &flags.seed);
+    } else if (ParseFlag(arg, "--mode", &flags.mode)) {
+    } else if (ParseFlag(arg, "--out", &flags.out)) {
+    } else if (ParseFlag(arg, "--loop-events", &v)) {
+      ok = ParseNumber("--loop-events", v, std::uint64_t{1}, &flags.loop_events);
     } else if (std::strcmp(arg, "--skip-loop-compare") == 0) {
       flags.skip_loop_compare = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
       flags.progress = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
+      return 2;
+    }
+    if (!ok) {
       return 2;
     }
   }

@@ -115,6 +115,10 @@ void Run(const bench::ObsFlags& obs_flags) {
 }  // namespace ofc
 
 int main(int argc, char** argv) {
-  ofc::Run(ofc::bench::ParseObsFlags(argc, argv));
+  const auto obs_flags = ofc::bench::ParseObsFlags(argc, argv);
+  if (!obs_flags) {
+    return 2;
+  }
+  ofc::Run(*obs_flags);
   return 0;
 }

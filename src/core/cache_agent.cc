@@ -7,6 +7,13 @@
 
 namespace ofc::core {
 
+namespace {
+
+// Wire names of CacheAgent::EvictionReason, in enum order.
+constexpr const char* kEvictionReasonNames[] = {"persisted_discard", "capacity", "sweep"};
+
+}  // namespace
+
 CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOptions options)
     : loop_(loop), cluster_(cluster), options_(options) {
   const std::size_t n = static_cast<std::size_t>(cluster_->num_nodes());
@@ -26,20 +33,6 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
     metrics_ = owned_metrics_.get();
   }
   flight_ = options_.flight;
-  policy_ = options_.policy;
-  if (policy_ == nullptr) {
-    // Standalone agent (tests, benches without an OfcSystem): own a default
-    // lru engine so there is exactly one reclamation code path.
-    CachePolicyEngineOptions peo;
-    peo.config.sweep_min_access = options_.sweep_min_access;
-    peo.config.sweep_max_idle = options_.sweep_max_idle;
-    peo.config.sweep_period = options_.sweep_period;
-    peo.metrics = metrics_;
-    peo.flight = flight_;
-    auto engine = CachePolicyEngine::Create("lru", std::move(peo));
-    owned_policy_ = std::move(*engine);  // "lru" always parses.
-    policy_ = owned_policy_.get();
-  }
   m_.BindCounters(*metrics_);
   pressure_gauges_.reserve(n);
   for (std::size_t w = 0; w < n; ++w) {
@@ -49,6 +42,12 @@ CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOpt
   m_.scale_up_time_us = metrics_->GetGauge("ofc.cache_agent.scale_up_time_us");
   m_.scale_down_time_us = metrics_->GetGauge("ofc.cache_agent.scale_down_time_us");
   m_.migration_ms = metrics_->GetSeries("ofc.cache_agent.migration_ms");
+  for (int reason = 0; reason < kNumEvictionReasons; ++reason) {
+    m_.evictions[reason] =
+        metrics_->GetCounter("ofc.policy.evictions", kEvictionReasonNames[reason]);
+    m_.bytes_evicted[reason] =
+        metrics_->GetCounter("ofc.policy.bytes_evicted", kEvictionReasonNames[reason]);
+  }
 }
 
 CacheScalingStats CacheAgent::stats() const {
@@ -105,18 +104,16 @@ void CacheAgent::SlackAdjustTick() {
 
 void CacheAgent::SweepOnce() {
   const SimTime now = loop_->now();
-  std::vector<std::string> live;
-  live.reserve(cluster_->NumObjects());
   for (int node = 0; node < cluster_->num_nodes(); ++node) {
     for (const rc::CachedObject& obj : cluster_->ObjectsOn(node)) {
-      live.push_back(obj.key);
       // Only consider objects that have been resident for at least one sweep
-      // period; otherwise every freshly admitted object would be purged. This
-      // residency guard is policy-independent.
+      // period; otherwise every freshly admitted object would be purged.
       if (now - obj.created_at < options_.sweep_period) {
         continue;
       }
-      if (!policy_->SweepCold(obj, now)) {
+      const bool cold = obj.access_count < options_.sweep_min_access ||
+                        now - obj.last_access > options_.sweep_max_idle;
+      if (!cold) {
         continue;
       }
       if (obj.dirty) {
@@ -125,12 +122,9 @@ void CacheAgent::SweepOnce() {
       }
       (void)cluster_->Remove(obj.key);
       ++*m_.objects_swept;
-      policy_->NoteEviction(obj, EvictionReason::kSweep, node, now);
+      RecordEviction(obj, kSweep, node, now);
     }
   }
-  // GC per-key policy state down to the live object population (keys removed
-  // above were already dropped via NoteEviction; stragglers go here).
-  policy_->Prune(std::move(live));
 }
 
 void CacheAgent::OnSandboxMemoryChange(const faas::SandboxMemoryEvent& event) {
@@ -208,6 +202,16 @@ void CacheAgent::ApplyTarget(int worker) {
   }
 }
 
+void CacheAgent::RecordEviction(const rc::CachedObject& obj, EvictionReason reason,
+                                int worker, SimTime now) {
+  ++*m_.evictions[reason];
+  m_.bytes_evicted[reason]->Add(static_cast<std::uint64_t>(std::max<Bytes>(0, obj.size)));
+  if (FlightOn()) {
+    flight_->Record(now, obs::FlightEventKind::kEvict, 0, 0, worker, obj.key,
+                    kEvictionReasonNames[reason]);
+  }
+}
+
 Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evicted) {
   const SimTime now = loop_->now();
   Bytes freed = 0;
@@ -229,7 +233,7 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
       ++*m_.objects_evicted;
       *evicted = true;
       AddScaleDownTime(options_.eviction_op_cost);
-      policy_->NoteEviction(obj, EvictionReason::kPersistedDiscard, worker, now);
+      RecordEviction(obj, kPersistedDiscard, worker, now);
     }
   }
 
@@ -244,8 +248,7 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
     LaunchWriteback(worker, obj.key, /*count_swept=*/false);
   }
 
-  // Phase 3: input objects, in the policy's eviction order (the default lru
-  // policy ranks by last_access, the paper's order). Prefer migrating the
+  // Phase 3: input objects, least recently used first. Prefer migrating the
   // master copy to a backup node (keeps the object cached, no data transfer);
   // evict when no backup can host it.
   std::vector<rc::CachedObject> inputs;
@@ -254,7 +257,13 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
       inputs.push_back(obj);
     }
   }
-  policy_->RankEvictionCandidates(&inputs, now);
+  // std::sort is not stable: objects with equal last_access may come out in
+  // any order, but the same input order always sorts the same way, so
+  // same-seed replays take identical decisions.
+  std::sort(inputs.begin(), inputs.end(),
+            [](const rc::CachedObject& a, const rc::CachedObject& b) {
+              return a.last_access < b.last_access;
+            });
   for (const rc::CachedObject& obj : inputs) {
     if (freed >= needed) {
       break;
@@ -278,7 +287,7 @@ Bytes CacheAgent::FreeBytes(int worker, Bytes needed, bool* migrated, bool* evic
     ++*m_.objects_evicted;
     *evicted = true;
     AddScaleDownTime(options_.eviction_op_cost);
-    policy_->NoteEviction(obj, EvictionReason::kCapacity, worker, now);
+    RecordEviction(obj, kCapacity, worker, now);
   }
   return freed;
 }
@@ -302,10 +311,7 @@ void CacheAgent::LaunchWriteback(int worker, const std::string& key, bool count_
           ++*m_.objects_swept;
         }
         if (obj.ok()) {
-          policy_->NoteEviction(*obj,
-                                count_swept ? EvictionReason::kSweep
-                                            : EvictionReason::kCapacity,
-                                obj->master, loop_->now());
+          RecordEviction(*obj, count_swept ? kSweep : kCapacity, obj->master, loop_->now());
         }
       }
     });
@@ -338,10 +344,7 @@ void CacheAgent::StartWriteback(int worker, const std::string& key, bool count_s
         ++*m_.objects_swept;
       }
       if (obj.ok()) {
-        policy_->NoteEviction(*obj,
-                              count_swept ? EvictionReason::kSweep
-                                          : EvictionReason::kCapacity,
-                              obj->master, loop_->now());
+        RecordEviction(*obj, count_swept ? kSweep : kCapacity, obj->master, loop_->now());
       }
     }
     DrainWritebackBacklog(worker);

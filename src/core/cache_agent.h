@@ -16,18 +16,13 @@
 // Shrinking follows the paper's reclamation order:
 //   1. discard output objects already persisted to the RSDS;
 //   2. trigger write-back of dirty output objects (discarded on completion);
-//   3. evict input objects in the order the configured cache policy ranks
-//      them (the default `lru` policy reproduces the paper byte-for-byte) —
-//      but first try to keep hot inputs cached by migrating their master copy
-//      to a backup node (§6.4's no-transfer promotion).
+//   3. evict input objects least recently used first — but first try to keep
+//      hot inputs cached by migrating their master copy to a backup node
+//      (§6.4's no-transfer promotion).
 //
-// Independently, a periodic sweep (every 300 s) evicts objects the policy
-// deems cold — under `lru`, the paper's n_access < 5 or idle > 30 min test
-// (§6.3). The residency guard (objects younger than one sweep period are
-// never swept) is policy-independent and stays here. Which objects to drop is
-// delegated to the CachePolicyEngine (cache_policy.h); *how* to drop them
-// (write-back of dirty objects, migration preference, capacity bookkeeping)
-// remains this agent's job.
+// Independently, a periodic sweep (every 300 s) evicts cold objects: those
+// with n_access < 5 or idle > 30 min (§6.3). Objects younger than one sweep
+// period are never swept.
 #ifndef OFC_CORE_CACHE_AGENT_H_
 #define OFC_CORE_CACHE_AGENT_H_
 
@@ -40,7 +35,6 @@
 
 #include "src/common/stats.h"
 #include "src/common/units.h"
-#include "src/core/cache_policy.h"
 #include "src/faas/platform.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -72,10 +66,6 @@ struct CacheAgentOptions {
   // latency. high > 1.0 disables pressure signalling (the default).
   double pressure_high_watermark = 2.0;
   double pressure_low_watermark = 0.85;
-  // Eviction/sweep policy engine (cache_policy.h), normally owned by the
-  // OfcSystem so the Proxy's data-plane notifications feed the same instance.
-  // Null: the agent owns a private default engine (the paper's lru policy).
-  CachePolicyEngine* policy = nullptr;
   // Observability sinks (src/obs/). Null `metrics` -> private registry; null
   // `flight` -> scale/pressure/migration events are skipped.
   obs::MetricsRegistry* metrics = nullptr;
@@ -147,6 +137,15 @@ class CacheAgent {
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
  private:
+  // Why an object left the cache; indexes the per-reason cells and names the
+  // label of each cell and of the flight recorder's `evict` record.
+  enum EvictionReason {
+    kPersistedDiscard,  // §6.4 phase 1: persisted output discarded under shrink.
+    kCapacity,          // §6.4 phase 3: input evicted to meet the capacity target.
+    kSweep,             // §6.3 periodic sweep: cold object purged.
+    kNumEvictionReasons,
+  };
+
   // Registry cells behind CacheScalingStats. The cumulative scaling times live
   // in gauges (micros, Add()ed) so the snapshot reconstructs SimDuration
   // exactly; migration latencies additionally feed a percentile series.
@@ -155,10 +154,17 @@ class CacheAgent {
     obs::Gauge* scale_up_time_us = nullptr;
     obs::Gauge* scale_down_time_us = nullptr;
     obs::Series* migration_ms = nullptr;
+    // ofc.policy.evictions / ofc.policy.bytes_evicted, one cell per reason.
+    obs::Counter* evictions[kNumEvictionReasons] = {};
+    obs::Counter* bytes_evicted[kNumEvictionReasons] = {};
   };
   void AddScaleDownTime(SimDuration d) {
     m_.scale_down_time_us->Add(static_cast<double>(d));
   }
+
+  // Accounts one object that left the cache (metrics and flight record).
+  void RecordEviction(const rc::CachedObject& obj, EvictionReason reason, int worker,
+                      SimTime now);
 
   // Frees at least `needed` bytes of mastered objects on `worker` following the
   // reclamation order. Returns the bytes actually freed synchronously.
@@ -196,8 +202,6 @@ class CacheAgent {
   std::vector<std::set<std::string>> writeback_pending_;
   std::vector<bool> under_pressure_;  // Hysteresis state per worker.
   std::vector<obs::Gauge*> pressure_gauges_;  // ofc.overload.cache_pressure{w}
-  std::unique_ptr<CachePolicyEngine> owned_policy_;  // When none injected.
-  CachePolicyEngine* policy_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;

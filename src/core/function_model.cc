@@ -35,19 +35,6 @@ std::optional<bool> FunctionModel::PredictBenefit(const std::vector<double>& fea
   return benefit_model_.Predict(features) == 1;
 }
 
-double FunctionModel::BenefitConfidence() const {
-  if (!benefit_trained_ || benefit_samples_.empty()) {
-    return 0.5;
-  }
-  std::size_t helpful = 0;
-  for (const ml::Instance& inst : benefit_samples_) {
-    if (inst.label == 1) {
-      ++helpful;
-    }
-  }
-  return static_cast<double>(helpful) / static_cast<double>(benefit_samples_.size());
-}
-
 double FunctionModel::eo_rate() const {
   if (recent_evals_.empty()) {
     return 0.0;

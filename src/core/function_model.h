@@ -63,12 +63,6 @@ class FunctionModel {
   // Predicted caching benefit; nullopt before the first training.
   std::optional<bool> PredictBenefit(const std::vector<double>& features) const;
 
-  // Aggregate caching-benefit confidence in [0, 1]: the fraction of curated
-  // benefit samples labeled "caching helps". 0.5 (no opinion) until the
-  // benefit tree has trained. The cost-aware cache policy uses this as the
-  // per-function prior on an object's expected E+L saving.
-  double BenefitConfidence() const;
-
   // ---- Learning (ModelTrainer side) ---------------------------------------------
 
   // Feeds one completed invocation: extracted features, the actual peak memory

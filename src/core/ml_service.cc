@@ -25,14 +25,6 @@ const FunctionModel* ModelRegistry::Find(const std::string& function) const {
   return it == models_.end() ? nullptr : it->second.get();
 }
 
-double ModelRegistry::CachingBenefitConfidence(const std::string& function) const {
-  const FunctionModel* model = Find(function);
-  if (model == nullptr || !model->mature()) {
-    return 0.5;
-  }
-  return model->BenefitConfidence();
-}
-
 std::vector<const FunctionModel*> ModelRegistry::AllModels() const {
   std::vector<const FunctionModel*> out;
   out.reserve(models_.size());

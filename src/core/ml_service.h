@@ -33,11 +33,6 @@ class ModelRegistry {
   const FunctionModel* Find(const std::string& function) const;
   const ModelConfig& config() const { return config_; }
 
-  // Per-function caching-benefit confidence for the cost-aware cache policy:
-  // the function's FunctionModel::BenefitConfidence(), or 0.5 (no opinion)
-  // while the model is unknown or immature.
-  double CachingBenefitConfidence(const std::string& function) const;
-
   std::vector<const FunctionModel*> AllModels() const;
 
  private:

@@ -3,46 +3,17 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "src/common/logging.h"
-
 namespace ofc::core {
 
 namespace {
 
 // Points a sub-component's options (CacheAgentOptions, ProxyOptions) at the
-// system's shared sinks and policy engine.
+// system's shared sinks.
 template <typename Options>
-Options Shared(Options o, obs::MetricsRegistry* metrics, obs::FlightRecorder* flight,
-               CachePolicyEngine* policy) {
+Options Shared(Options o, obs::MetricsRegistry* metrics, obs::FlightRecorder* flight) {
   o.metrics = metrics;
   o.flight = flight;
-  o.policy = policy;
   return o;
-}
-
-// Builds the shared policy engine from the options. An invalid spec downgrades
-// to the paper-faithful lru default (with a warning) rather than failing the
-// whole assembly; ofc-sim validates the flag up front for a hard error.
-std::unique_ptr<CachePolicyEngine> MakePolicyEngine(const OfcOptions& options,
-                                                    ModelRegistry* registry,
-                                                    obs::MetricsRegistry* metrics) {
-  CachePolicyEngineOptions engine_options;
-  engine_options.config.sweep_min_access = options.cache_agent.sweep_min_access;
-  engine_options.config.sweep_max_idle = options.cache_agent.sweep_max_idle;
-  engine_options.config.sweep_period = options.cache_agent.sweep_period;
-  engine_options.config.store_profile = options.rsds_estimate;
-  engine_options.benefit = [registry](const std::string& function) {
-    return registry->CachingBenefitConfidence(function);
-  };
-  engine_options.metrics = metrics;
-  engine_options.flight = options.flight;
-  auto engine = CachePolicyEngine::Create(options.cache_policy, engine_options);
-  if (!engine.ok()) {
-    OFC_LOG(Warning) << "invalid cache policy spec '" << options.cache_policy << "' ("
-                     << engine.status().message() << "); falling back to lru";
-    engine = CachePolicyEngine::Create("lru", engine_options);
-  }
-  return std::move(*engine);
 }
 
 }  // namespace
@@ -58,11 +29,8 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
       registry_(options.model),
       predictor_(&registry_, m_.model_predictions, m_.booked_fallbacks),
       trainer_(&registry_, options.rsds_estimate, metrics_),
-      policy_engine_(MakePolicyEngine(options, &registry_, metrics_)),
-      cache_agent_(loop, cluster,
-                   Shared(options.cache_agent, metrics_, options.flight, policy_engine_.get())),
-      proxy_(loop, cluster, rsds,
-             Shared(options.proxy, metrics_, options.flight, policy_engine_.get())) {
+      cache_agent_(loop, cluster, Shared(options.cache_agent, metrics_, options.flight)),
+      proxy_(loop, cluster, rsds, Shared(options.proxy, metrics_, options.flight)) {
   cache_agent_.set_writeback([this](const std::string& key, std::function<void(Status)> done) {
     proxy_.Writeback(key, std::move(done));
   });

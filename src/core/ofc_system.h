@@ -38,12 +38,6 @@ struct OfcOptions {
   bool locality_routing = true;
   // RSDS latency estimate used for the caching-benefit labels (§5.2).
   store::StoreProfile rsds_estimate = store::StoreProfile::Swift();
-  // Cache admission/eviction policy spec (cache_policy.h):
-  // "NAME[,function=NAME...]". The default `lru` reproduces the paper's
-  // eviction and cold-sweep behaviour byte-for-byte. An invalid spec logs a
-  // warning and falls back to lru (callers wanting a hard error should run
-  // ParseCachePolicySpec() first, as ofc-sim does).
-  std::string cache_policy = "lru";
   // Observability sinks (src/obs/), propagated into the CacheAgent and Proxy
   // sub-options so the whole assembly shares one registry. Null `metrics` ->
   // the system owns a private registry; null `flight` -> no black-box records.
@@ -91,9 +85,6 @@ class OfcSystem : public faas::PlatformHooks {
   ModelTrainer& trainer() { return trainer_; }
   CacheAgent& cache_agent() { return cache_agent_; }
   Proxy& proxy() { return proxy_; }
-  // The shared eviction-policy engine (fed by the Proxy's data-plane
-  // notifications, consulted by the CacheAgent's shrink/sweep paths).
-  CachePolicyEngine& policy_engine() { return *policy_engine_; }
   // Assembled on demand from the metrics registry.
   OfcPredictionStats prediction_stats() const;
   obs::MetricsRegistry& metrics() { return *metrics_; }
@@ -135,8 +126,6 @@ class OfcSystem : public faas::PlatformHooks {
   ModelRegistry registry_;
   Predictor predictor_;
   ModelTrainer trainer_;
-  // Declared before the CacheAgent and Proxy: both hold a raw pointer to it.
-  std::unique_ptr<CachePolicyEngine> policy_engine_;
   CacheAgent cache_agent_;
   Proxy proxy_;
 };

@@ -22,24 +22,6 @@ Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsd
   m_.persistor_ms = metrics_->GetSeries("ofc.proxy.persistor_ms");
 }
 
-void Proxy::PolicyAdmit(const std::string& key, Bytes size, const std::string& function) {
-  if (options_.policy != nullptr) {
-    options_.policy->OnAdmit(key, size, function, loop_->now());
-  }
-}
-
-void Proxy::PolicyAccess(const std::string& key, Bytes size, const std::string& function) {
-  if (options_.policy != nullptr) {
-    options_.policy->OnAccess(key, size, function, loop_->now());
-  }
-}
-
-void Proxy::PolicyRemove(const std::string& key) {
-  if (options_.policy != nullptr) {
-    options_.policy->OnRemove(key);
-  }
-}
-
 Proxy::FnMetrics& Proxy::FnMetricsFor(const std::string& function) {
   auto it = fn_metrics_.find(function);
   if (it == fn_metrics_.end()) {
@@ -115,7 +97,6 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
                     elapsed <= options_.breaker_latency_slo);
       ++*m_.cache_hits;
       ++*fn.hits;
-      PolicyAccess(key, hit->size, ctx.function);
       if (hit->checksum != ExpectedChecksum(key, hit->size, hit->version)) {
         // I6 tripwire: the cluster's self-healing read must never surface a
         // corrupt payload. Counted (the chaos audit asserts zero), not fatal.
@@ -169,10 +150,9 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
           ++*m_.admission_deferred;
         } else {
           CacheWrite(ctx.worker, key, size, version, rc::ObjectClass::kInput,
-                     /*dirty=*/false, [this, ctx, key, size](Status status) {
+                     /*dirty=*/false, [this, ctx, key](Status status) {
                        if (status.ok()) {
                          ++*m_.admissions;
-                         PolicyAdmit(key, size, ctx.function);
                          if (FlightOn()) {
                            flight_->Record(loop_->now(),
                                            obs::FlightEventKind::kCacheAdmit,
@@ -269,7 +249,6 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
                         return;
                       }
                       ++*m_.intermediates_cached;
-                      PolicyAdmit(key, size, ctx.function);
                       pipeline_intermediates_[ctx.pipeline_id].push_back(key);
                       done(OkStatus());
                     });
@@ -288,11 +267,7 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
                  }
                  CacheWrite(ctx.worker, key, size, /*version=*/0,
                             rc::ObjectClass::kFinalOutput, /*dirty=*/false,
-                            [this, ctx, key, size](Status status) {
-                              if (status.ok()) {
-                                PolicyAdmit(key, size, ctx.function);
-                              }
-                            });
+                            [](Status) {});
                  done(OkStatus());
                });
     return;
@@ -311,7 +286,6 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
                    return;
                  }
                  ++*m_.cached_writes;
-                 PolicyAdmit(key, size, ctx.function);
                  if (FlightOn()) {
                    flight_->Record(loop_->now(), obs::FlightEventKind::kCacheWrite,
                                    ctx.invocation_id, 0, ctx.worker, key);
@@ -342,7 +316,6 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
         // the full payload once the store heals.
         ++*m_.fallback_writes;
         ++*m_.cached_writes;
-        PolicyAdmit(key, size, ctx.function);
         if (FlightOn()) {
           flight_->Record(loop_->now(), obs::FlightEventKind::kWriteFallback,
                           ctx.invocation_id, 0, ctx.worker, key);
@@ -375,7 +348,6 @@ void Proxy::Write(const faas::InvocationContext& ctx, const std::string& key, By
       return;
     }
     ++*m_.cached_writes;
-    PolicyAdmit(key, size, ctx.function);
     if (FlightOn()) {
       flight_->Record(loop_->now(), obs::FlightEventKind::kCacheWrite,
                       ctx.invocation_id, 0, ctx.worker, key);
@@ -577,7 +549,6 @@ void Proxy::RunPersistor(PersistorJob job, SimTime scheduled, int attempt) {
     if (job.drop_after) {
       // §6.3: final outputs leave the cache once written back.
       (void)cluster_->Remove(job.key);
-      PolicyRemove(job.key);
     }
   };
   if (job.version == 0) {
@@ -619,7 +590,6 @@ void Proxy::OnPipelineComplete(std::uint64_t pipeline_id) {
   for (const std::string& key : it->second) {
     if (cluster_->Remove(key).ok()) {
       ++*m_.intermediates_dropped;
-      PolicyRemove(key);
     }
   }
   pipeline_intermediates_.erase(it);
@@ -680,7 +650,6 @@ void Proxy::HandleExternalWrite(const std::string& key, std::function<void()> re
   if (cluster_->Contains(key)) {
     ++*m_.external_write_invalidations;
     (void)cluster_->Remove(key);
-    PolicyRemove(key);
   }
   resume();
 }

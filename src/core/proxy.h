@@ -33,7 +33,6 @@
 
 #include "src/common/checksum.h"
 #include "src/common/hash.h"
-#include "src/core/cache_policy.h"
 #include "src/faas/platform.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -88,11 +87,6 @@ struct ProxyOptions {
   // `flight` -> cache/persistor/webhook events are skipped.
   obs::MetricsRegistry* metrics = nullptr;
   obs::FlightRecorder* flight = nullptr;
-  // Cache policy engine (cache_policy.h) fed with data-plane lifecycle events:
-  // admissions and cached writes (OnAdmit), hits (OnAccess), and proxy-driven
-  // removals (OnRemove). Null (default): notifications are skipped — the lru
-  // policy needs none of them, so standalone proxies lose nothing.
-  CachePolicyEngine* policy = nullptr;
 };
 
 // The proxy's plain counters: X(view field, registry family). See "Counter
@@ -287,11 +281,6 @@ class Proxy : public faas::DataService {
   void CacheWrite(int worker, const std::string& key, Bytes size,
                   store::ObjectVersion version, rc::ObjectClass object_class, bool dirty,
                   rc::Cluster::Callback done);
-
-  // Policy-engine notification helpers; no-ops when no engine is wired.
-  void PolicyAdmit(const std::string& key, Bytes size, const std::string& function);
-  void PolicyAccess(const std::string& key, Bytes size, const std::string& function);
-  void PolicyRemove(const std::string& key);
 
   sim::EventLoop* loop_;
   rc::Cluster* cluster_;

@@ -119,7 +119,7 @@ struct FlightKindSpec {
     kInstant, "breaker-half-open", "overload", kPidCache, kTidZero)                                \
   X(kBreakerClose, "breaker_close", true,                                                          \
     kInstant, "breaker-close", "overload", kPidCache, kTidZero)                                    \
-  /* core/cache_agent + cache_policy. */                                                           \
+  /* core/cache_agent. */                                                                          \
   X(kScaleUp, "scale_up", true,                                                                    \
     kSpanFrom, "scale-up", "cache", kPidCache, kTidWorker, "", "", "target_bytes")                 \
   X(kScaleDown, "scale_down", true,                                                                \

@@ -72,9 +72,6 @@ struct ChaosScenarioOptions {
   // Baseline mode for breaker-bypass comparisons: the OFC stack runs but no
   // object is cacheable, so every read/write goes straight to the RSDS.
   bool disable_cache = false;
-  // Cache eviction/sweep policy spec (src/core/cache_policy.h); the invariants
-  // must hold no matter which policy picks eviction victims.
-  std::string cache_policy = "lru";
   // Arrival burst: `burst_count` extra invocations land back-to-back starting
   // at `burst_at` (1 ms apart), on top of the Poisson arrivals.
   int burst_count = 0;
@@ -177,7 +174,6 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
   if (options.disable_cache) {
     env_options.ofc.proxy.max_cacheable_size = 0;  // Everything bypasses cache.
   }
-  env_options.ofc.cache_policy = options.cache_policy;
   env_options.seed = options.seed;
   faasload::Environment env(faasload::Mode::kOfc, env_options);
   if (options.flight_recorder) {

@@ -1,9 +1,12 @@
-// Unit tests for src/common: Status/Result, units, RNG, stats.
+// Unit tests for src/common: Status/Result, units, RNG, stats, flag parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -235,6 +238,47 @@ TEST(SlidingTimeWindowTest, MaxTracksWindow) {
   w.Add(Seconds(3), 3.0);
   EXPECT_DOUBLE_EQ(w.MaxAt(Seconds(3)), 9.0);
   EXPECT_DOUBLE_EQ(w.MaxAt(Seconds(13)), 3.0);
+}
+
+TEST(FlagsTest, ParseFlagMatchesOnlyNameEqualsValue) {
+  std::string value;
+  EXPECT_TRUE(ParseFlag("--seed=7", "--seed", &value));
+  EXPECT_EQ(value, "7");
+  EXPECT_TRUE(ParseFlag("--seed=", "--seed", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_FALSE(ParseFlag("--seed", "--seed", &value));
+  EXPECT_FALSE(ParseFlag("--seeds=7", "--seed", &value));
+}
+
+TEST(FlagsTest, ParseNumberAcceptsWholeValuesAtOrAboveTheBound) {
+  std::uint64_t count = 0;
+  EXPECT_TRUE(ParseNumber("--n", "50000", std::uint64_t{1}, &count));
+  EXPECT_EQ(count, 50000u);
+  int workers = 0;
+  EXPECT_TRUE(ParseNumber("--workers", "1", 1, &workers));
+  EXPECT_EQ(workers, 1);
+  double seconds = 0.0;
+  EXPECT_TRUE(ParseNumber("--s", "2.5", 0.0, &seconds, /*above=*/true));
+  EXPECT_EQ(seconds, 2.5);
+}
+
+TEST(FlagsTest, ParseNumberRejectsMalformedAndOutOfRangeValues) {
+  std::uint64_t count = 9;
+  EXPECT_FALSE(ParseNumber("--n", "abc", std::uint64_t{1}, &count));
+  EXPECT_FALSE(ParseNumber("--n", "", std::uint64_t{1}, &count));
+  EXPECT_FALSE(ParseNumber("--n", "12x", std::uint64_t{1}, &count));  // Trailing junk.
+  EXPECT_FALSE(ParseNumber("--n", "-5", std::uint64_t{1}, &count));   // No wrap-around.
+  EXPECT_FALSE(ParseNumber("--n", "0", std::uint64_t{1}, &count));    // Below the bound.
+  EXPECT_FALSE(ParseNumber("--n", "99999999999999999999", std::uint64_t{1}, &count));
+  EXPECT_EQ(count, 9u);  // Untouched on failure.
+  int workers = 3;
+  EXPECT_FALSE(ParseNumber("--workers", "-3", 1, &workers));
+  EXPECT_EQ(workers, 3);
+  double seconds = 1.0;
+  EXPECT_FALSE(ParseNumber("--s", "0", 0.0, &seconds, /*above=*/true));
+  EXPECT_FALSE(ParseNumber("--s", "inf", 0.0, &seconds));
+  EXPECT_FALSE(ParseNumber("--s", "nan", 0.0, &seconds));
+  EXPECT_EQ(seconds, 1.0);
 }
 
 }  // namespace

@@ -360,6 +360,66 @@ TEST_F(CacheAgentTest, SweepEvictsIdleObjectsEvenIfOnceHot) {
   EXPECT_FALSE(cluster_.Contains("idle"));
 }
 
+TEST_F(CacheAgentTest, ShrinkEvictsLeastRecentlyUsedInputFirst) {
+  // Node 1 hosts no sandbox, so it has no capacity and inputs cannot migrate
+  // there: shrinking node 0 must evict.
+  CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
+  agent.Start();
+  agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));  // Cache capacity 860 MiB.
+  WriteObject(0, "k1", MiB(100));
+  WriteObject(0, "k2", MiB(100));
+  WriteObject(0, "k3", MiB(100));
+  // Access order k2, k3, k1: k2 is the least and k1 the most recently used,
+  // unlike the write order.
+  for (const char* key : {"k2", "k3", "k1"}) {
+    cluster_.Read(0, key, [](Result<rc::CachedObject>) {});
+    RunFor(Seconds(1));
+  }
+  // Sandbox grows to 674 MiB: target 250 MiB against 300 MiB used, so exactly
+  // one input has to go.
+  agent.OnSandboxMemoryChange(Ev(0, MiB(64), MiB(674)));
+  EXPECT_FALSE(cluster_.Contains("k2"));
+  EXPECT_TRUE(cluster_.Contains("k3"));
+  EXPECT_TRUE(cluster_.Contains("k1"));
+  EXPECT_EQ(agent.stats().objects_evicted, 1u);
+  EXPECT_EQ(agent.stats().objects_migrated, 0u);
+}
+
+TEST_F(CacheAgentTest, EvictionsCountPerReason) {
+  CacheAgentOptions options = MakeAgentOptions();
+  // Keep the slack pool fixed: re-estimating it from the shrink's churn would
+  // shrink the cache again and evict "cold" for capacity before the sweep.
+  options.slack_adjust_period = Minutes(60);
+  CacheAgent agent(&loop_, &cluster_, options);
+  agent.Start();
+  agent.OnSandboxMemoryChange(Ev(0, 0, MiB(64)));  // Cache capacity 860 MiB.
+  WriteObject(0, "done", MiB(40), rc::ObjectClass::kFinalOutput);  // Persisted.
+  WriteObject(0, "old_input", MiB(100));
+  WriteObject(0, "cold", MiB(3));
+  // Target 53 MiB against 143 MiB used: phase 1 discards the persisted output,
+  // phase 3 evicts the least recently used input (node 1 cannot take it).
+  agent.OnSandboxMemoryChange(Ev(0, MiB(64), MiB(871)));
+  EXPECT_FALSE(cluster_.Contains("done"));
+  EXPECT_FALSE(cluster_.Contains("old_input"));
+  ASSERT_TRUE(cluster_.Contains("cold"));
+  // "cold" was read fewer than 5 times: the sweep purges it once it has been
+  // resident for a full period.
+  RunFor(Seconds(301));
+  agent.SweepOnce();
+  EXPECT_FALSE(cluster_.Contains("cold"));
+
+  obs::MetricsRegistry& metrics = agent.metrics();
+  EXPECT_EQ(metrics.GetCounter("ofc.policy.evictions", "persisted_discard")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("ofc.policy.evictions", "capacity")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("ofc.policy.evictions", "sweep")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("ofc.policy.bytes_evicted", "persisted_discard")->value(),
+            static_cast<std::uint64_t>(MiB(40)));
+  EXPECT_EQ(metrics.GetCounter("ofc.policy.bytes_evicted", "capacity")->value(),
+            static_cast<std::uint64_t>(MiB(100)));
+  EXPECT_EQ(metrics.GetCounter("ofc.policy.bytes_evicted", "sweep")->value(),
+            static_cast<std::uint64_t>(MiB(3)));
+}
+
 TEST_F(CacheAgentTest, ReleaseForSandboxFreesCapacity) {
   CacheAgent agent(&loop_, &cluster_, MakeAgentOptions());
   agent.Start();

@@ -85,7 +85,7 @@ def render(entries):
     out.append("")
     out.append("```sh")
     out.append("./build/tools/ofc-sim --mode=ofc --functions=wand_blur,wand_edge \\")
-    out.append("    --duration-min=10 --cache-policy=gdsf --metrics-json=metrics.json")
+    out.append("    --duration-min=10 --metrics-json=metrics.json")
     out.append("```")
     group = None
     for entry_group, spec, help_text in entries:
@@ -99,7 +99,7 @@ def render(entries):
         out.append(f"| `{spec}` | {help_text} |")
     out.append("")
     out.append("Run `ofc-sim` with any unknown flag to print this reference plus the")
-    out.append("registered function, pipeline, and cache-policy names.")
+    out.append("registered function and pipeline names.")
     out.append("")
     return "\n".join(out)
 

@@ -10,7 +10,6 @@
 // Examples:
 //   ofc_sim --mode=ofc --functions=wand_blur,wand_edge --duration-min=10
 //   ofc_sim --mode=owk-swift --pipelines=map_reduce --interval-s=30
-//   ofc_sim --cache-policy=gdsf                  # non-paper eviction policy
 //   ofc_sim --mode=ofc --trace-json=trace.json   # open in ui.perfetto.dev
 //   ofc_sim --timeline-json=tl.json --scrape-interval-s=10   # windowed telemetry
 //   ofc_sim --slo='warm=lat:ofc.platform.total_ms:p99:250' --health-json=health.json
@@ -20,20 +19,17 @@
 //   ofc_sim --fault-plan=rot.json --scrub-interval-s=5   # corruption + scrubbing
 //   ofc_sim --selfcheck-determinism              # replay twice, diff metrics
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/sim_assert.h"
 #include "src/common/stats.h"
-#include "src/core/cache_policy.h"
 #include "src/core/scrubber.h"
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
@@ -58,9 +54,6 @@ struct Flags {
   int worker_gb = 16;
   std::uint64_t seed = 42;
   int pretrain = 1000;
-  // Cache eviction/sweep policy spec, "NAME[,function=NAME]..." — validated
-  // against core::KnownCachePolicies() at parse time (OFC mode only).
-  std::string cache_policy = "lru";
   std::string metrics_json;
   std::string metrics_csv;
   std::string trace_json;
@@ -192,37 +185,6 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
   return out;
 }
 
-// Parses all of `value` as a number no lower than `min` (strictly above it
-// when `above`); otherwise names the flag on stderr and returns false, so
-// "--workers=abc" or "--duration-min=-3" fail loudly instead of running a
-// degenerate scenario.
-template <typename T>
-bool ParseNumber(const char* flag, const std::string& value, T min, T* out, bool above = false) {
-  T parsed{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
-  bool ok = ec == std::errc() && ptr == end && (above ? parsed > min : parsed >= min);
-  if constexpr (std::is_floating_point_v<T>) {
-    ok = ok && std::isfinite(parsed);
-  }
-  if (!ok) {
-    std::fprintf(stderr, "%s=%s: want a number %s %g\n", flag, value.c_str(), above ? ">" : ">=",
-                 static_cast<double>(min));
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 // One flag's documentation. The table below is the single source of truth for
 // the flag reference: Usage() renders it to stderr and tools/gen_cli_docs.py
 // parses it into docs/cli.md (CI runs the generator with --check, so this
@@ -246,7 +208,6 @@ constexpr FlagDoc kFlagDocs[] = {
     {"Scenario", "--worker-gb=N", "Memory per worker in GiB (default 16)."},
     {"Scenario", "--seed=N", "Root RNG seed; same seed + same flags = byte-identical run (default 42)."},
     {"Scenario", "--pretrain=N", "Offline pretraining invocations per function before the run (default 1000)."},
-    {"Cache policy", "--cache-policy=NAME[,function=NAME...]", "Cache eviction/sweep policy: lru (paper-faithful default), gdsf, lfu-decay, or cost-aware; optional per-function overrides, e.g. gdsf,wand_blur=lru. OFC mode only."},
     {"Observability", "--metrics-json=PATH", "Write the end-of-run metrics snapshot as JSON."},
     {"Observability", "--metrics-csv=PATH", "Write the end-of-run metrics snapshot as CSV (one row per cell)."},
     {"Observability", "--trace-json=PATH", "Record Chrome trace-event JSON of invocation/control-plane spans (open in ui.perfetto.dev)."},
@@ -294,10 +255,6 @@ int Usage() {
   std::fprintf(stderr, "available pipelines:\n");
   for (const workloads::PipelineSpec& spec : workloads::AllPipelines()) {
     std::fprintf(stderr, "  %s\n", spec.name.c_str());
-  }
-  std::fprintf(stderr, "available cache policies:\n");
-  for (const std::string& name : core::KnownCachePolicies()) {
-    std::fprintf(stderr, "  %s\n", name.c_str());
   }
   return 2;
 }
@@ -353,7 +310,6 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   env_options.ofc.proxy.breaker_half_open_probes = flags.breaker_probes;
   env_options.ofc.proxy.breaker_latency_slo =
       static_cast<SimDuration>(flags.breaker_slo_ms * 1e3);
-  env_options.ofc.cache_policy = flags.cache_policy;
   env_options.seed = seed;
   faasload::Environment env(mode, env_options);
   if (!flags.trace_json.empty()) {
@@ -830,12 +786,6 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--pretrain", &value)) {
       if (!ParseNumber("--pretrain", value, 0, &flags.pretrain)) {
         return 1;
-      }
-    } else if (ParseFlag(argv[i], "--cache-policy", &flags.cache_policy)) {
-      const auto spec = core::ParseCachePolicySpec(flags.cache_policy);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "--cache-policy: %s\n", spec.status().message().c_str());
-        return Usage();
       }
     } else if (ParseFlag(argv[i], "--metrics-json", &flags.metrics_json)) {
     } else if (ParseFlag(argv[i], "--metrics-csv", &flags.metrics_csv)) {
