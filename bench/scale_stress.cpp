@@ -19,6 +19,7 @@
 // tools/check_scale_bench.py against bench/scale_floor.json.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>  // simlint: allow(wall-clock) -- this bench measures the simulator's real throughput, not simulated time
 #include <cstdio>
 #include <cstring>
@@ -56,7 +57,7 @@ double PeakRssMb() {
 struct Flags {
   std::uint64_t invocations = 1'000'000;
   std::size_t tenants = 64;
-  double duration_s = 3600.0;
+  SimDuration duration = Seconds(3600);
   std::uint64_t seed = 42;
   std::string mode = "ofc";
   std::string out = "BENCH_scale.json";
@@ -135,7 +136,7 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(arg, "--tenants", &v)) {
       ok = ParseNumber("--tenants", v, std::size_t{1}, &flags.tenants);
     } else if (ParseFlag(arg, "--duration-s", &v)) {
-      ok = ParseNumber("--duration-s", v, 0.0, &flags.duration_s, /*above=*/true);
+      ok = ParseDuration("--duration-s", v, Seconds(1), &flags.duration, /*above=*/true);
     } else if (ParseFlag(arg, "--seed", &v)) {
       ok = ParseNumber("--seed", v, std::uint64_t{0}, &flags.seed);
     } else if (ParseFlag(arg, "--mode", &flags.mode)) {
@@ -176,7 +177,7 @@ int Main(int argc, char** argv) {
   workloads::ScaleTraceOptions trace_options;
   trace_options.seed = flags.seed;
   trace_options.num_tenants = flags.tenants;
-  trace_options.duration_s = flags.duration_s;
+  trace_options.duration_s = ToSeconds(flags.duration);
   trace_options.target_invocations = flags.invocations;
   const workloads::ScaleTrace trace = workloads::GenerateScaleTrace(trace_options);
 
@@ -196,7 +197,7 @@ int Main(int argc, char** argv) {
 
   if (flags.progress) {
     // Progress heartbeat in simulated time (one line per 10% of the horizon).
-    const SimDuration step = static_cast<SimDuration>(flags.duration_s * 1e6 / 10.0);
+    const SimDuration step = std::max<SimDuration>(flags.duration / 10, 1);
     injector.AddSampler(step, [&env, &injector] {
       std::printf("  t=%.0fs: %llu fired, %llu completed, %llu events\n",
                   static_cast<double>(env.loop().now()) / 1e6,
@@ -208,7 +209,7 @@ int Main(int argc, char** argv) {
   }
 
   const auto run_start = WallClock::now();  // simlint: allow(wall-clock) -- phase timing
-  injector.Run(static_cast<SimDuration>(flags.duration_s * 1e6));
+  injector.Run(flags.duration);
   const double run_wall = SecondsSince(run_start);
 
   // ---- Report --------------------------------------------------------------
@@ -240,7 +241,7 @@ int Main(int argc, char** argv) {
   std::string json = "{\n";
   json += "  \"target_invocations\": " + std::to_string(flags.invocations) + ",\n";
   json += "  \"tenants\": " + std::to_string(flags.tenants) + ",\n";
-  json += "  \"duration_s\": " + obs::JsonNumber(flags.duration_s) + ",\n";
+  json += "  \"duration_s\": " + obs::JsonNumber(ToSeconds(flags.duration)) + ",\n";
   json += "  \"seed\": " + std::to_string(flags.seed) + ",\n";
   json += "  \"mode\": \"" + flags.mode + "\",\n";
   json += "  \"expected_invocations\": " + obs::JsonNumber(trace.expected_invocations) + ",\n";

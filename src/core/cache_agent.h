@@ -26,7 +26,6 @@
 #ifndef OFC_CORE_CACHE_AGENT_H_
 #define OFC_CORE_CACHE_AGENT_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
@@ -55,19 +54,8 @@ struct CacheAgentOptions {
   std::uint32_t sweep_min_access = 5;     // Evict when n_access < 5 ...
   SimDuration sweep_max_idle = Minutes(30);  // ... or idle > 30 min.
   SimDuration eviction_op_cost = Micros(120);  // Per-object eviction overhead.
-  // ---- Overload protection (memory pressure & write-back throttling) ------------
-  // Cap on concurrently in-flight reclamation write-backs per worker; further
-  // dirty objects queue FIFO and launch as completions free budget, bounding
-  // the §6.4 shrink-time write-back storm. 0 = unbounded (legacy behaviour).
-  int max_inflight_writebacks = 0;
-  // Memory-pressure hysteresis on used/capacity: a worker enters pressure at
-  // >= high and leaves below low. While under pressure the proxy's admission
-  // gate defers new cache admissions, so shrink degrades admission rather than
-  // latency. high > 1.0 disables pressure signalling (the default).
-  double pressure_high_watermark = 2.0;
-  double pressure_low_watermark = 0.85;
   // Observability sinks (src/obs/). Null `metrics` -> private registry; null
-  // `flight` -> scale/pressure/migration events are skipped.
+  // `flight` -> scale/migration/eviction events are skipped.
   obs::MetricsRegistry* metrics = nullptr;
   obs::FlightRecorder* flight = nullptr;
 };
@@ -82,8 +70,7 @@ struct CacheAgentOptions {
   X(objects_migrated, "ofc.cache_agent.objects_migrated")                                         \
   X(objects_evicted, "ofc.cache_agent.objects_evicted")                                           \
   X(objects_swept, "ofc.cache_agent.objects_swept")                                               \
-  X(writebacks_triggered, "ofc.cache_agent.writebacks_triggered")                                 \
-  X(writebacks_throttled, "ofc.cache_agent.writebacks_throttled") /* Queued over the budget. */
+  X(writebacks_triggered, "ofc.cache_agent.writebacks_triggered")
 
 // Snapshot view over the agent's registry cells.
 struct CacheScalingStats {
@@ -123,10 +110,6 @@ class CacheAgent {
   // One §6.3 sweep pass over every node; normally timer-driven, exposed for
   // tests and benches.
   void SweepOnce();
-
-  // Memory-pressure watermark query (hysteresis; see the options). The proxy's
-  // admission gate calls this on every read-miss admission decision.
-  bool UnderPressure(int worker);
 
   Bytes slack(int worker) const { return slack_[static_cast<std::size_t>(worker)]; }
   // Sum of (booked - limit) across the worker's live sandboxes.
@@ -170,16 +153,10 @@ class CacheAgent {
   // reclamation order. Returns the bytes actually freed synchronously.
   Bytes FreeBytes(int worker, Bytes needed, bool* migrated, bool* evicted);
 
-  // One queued reclamation write-back (see max_inflight_writebacks).
-  struct PendingWriteback {
-    std::string key;
-    bool count_swept = false;  // Sweep-triggered: counts into objects_swept.
-  };
-  // Write-back launch with the in-flight budget applied (dedups keys already
-  // pending; over-budget launches queue in writeback_backlog_).
-  void LaunchWriteback(int worker, const std::string& key, bool count_swept);
-  void StartWriteback(int worker, const std::string& key, bool count_swept);
-  void DrainWritebackBacklog(int worker);
+  // Fires the write-back of a dirty object and drops it from the cache once the
+  // RSDS holds it. A key whose write-back is already in flight is skipped.
+  // `count_swept`: sweep-triggered, so the drop counts into objects_swept.
+  void LaunchWriteback(const std::string& key, bool count_swept);
 
   void SweepTick();
   void ChurnSampleTick();
@@ -194,14 +171,9 @@ class CacheAgent {
   std::vector<Bytes> slack_;
   std::vector<Bytes> churn_accum_;
   std::vector<SlidingTimeWindow> churn_windows_;
-  // Write-back budget state, per worker. The pending set (ordered — it is
-  // mutated along deterministic paths only, never iterated) covers keys both
-  // in flight and queued, so one shrink storm cannot launch duplicates.
-  std::vector<int> inflight_writebacks_;
-  std::vector<std::deque<PendingWriteback>> writeback_backlog_;
-  std::vector<std::set<std::string>> writeback_pending_;
-  std::vector<bool> under_pressure_;  // Hysteresis state per worker.
-  std::vector<obs::Gauge*> pressure_gauges_;  // ofc.overload.cache_pressure{w}
+  // Keys whose write-back is in flight (ordered: it is mutated along
+  // deterministic paths only, never iterated).
+  std::set<std::string> writebacks_pending_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;

@@ -34,11 +34,6 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
   cache_agent_.set_writeback([this](const std::string& key, std::function<void(Status)> done) {
     proxy_.Writeback(key, std::move(done));
   });
-  // Memory-pressure backpressure: while a worker's cache is shrinking under
-  // load, new admissions are deferred rather than queued behind eviction work.
-  proxy_.set_admission_gate([this](int worker) {
-    return !cache_agent_.UnderPressure(worker);
-  });
 }
 
 void OfcSystem::Start() {

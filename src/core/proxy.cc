@@ -143,26 +143,18 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
       // after the in-flight persistor lands.
       if (ctx.should_cache && !meta->IsShadow() && size > 0 &&
           size <= options_.max_cacheable_size) {
-        if (admission_gate_ != nullptr && !admission_gate_(ctx.worker)) {
-          // Memory pressure on this worker: shrink is reclaiming the cache, so
-          // admitting would only force more eviction work. Defer (skip); the
-          // object stays fetchable from the RSDS.
-          ++*m_.admission_deferred;
-        } else {
-          CacheWrite(ctx.worker, key, size, version, rc::ObjectClass::kInput,
-                     /*dirty=*/false, [this, ctx, key](Status status) {
-                       if (status.ok()) {
-                         ++*m_.admissions;
-                         if (FlightOn()) {
-                           flight_->Record(loop_->now(),
-                                           obs::FlightEventKind::kCacheAdmit,
-                                           ctx.invocation_id, 0, ctx.worker, key);
-                         }
-                       } else {
-                         ++*m_.admission_failures;
+        CacheWrite(ctx.worker, key, size, version, rc::ObjectClass::kInput,
+                   /*dirty=*/false, [this, ctx, key](Status status) {
+                     if (status.ok()) {
+                       ++*m_.admissions;
+                       if (FlightOn()) {
+                         flight_->Record(loop_->now(), obs::FlightEventKind::kCacheAdmit,
+                                         ctx.invocation_id, 0, ctx.worker, key);
                        }
-                     });
-        }
+                     } else {
+                       ++*m_.admission_failures;
+                     }
+                   });
       }
       done(size);  // The function proceeds without waiting for the admission.
     });

@@ -117,7 +117,6 @@ struct ProxyOptions {
   X(breaker_probe_failures, "ofc.breaker.probe_failures") /* Probes that re-opened it. */       \
   X(breaker_bypassed_reads, "ofc.breaker.bypassed_reads") /* Served RSDS-direct while open. */  \
   X(breaker_bypassed_writes, "ofc.breaker.bypassed_writes") /* Sent RSDS-direct while open. */  \
-  X(admission_deferred, "ofc.overload.admission_deferred") /* Skipped under memory pressure. */ \
   X(corrupt_acked, "ofc.integrity.corrupt_acked") /* I6 tripwire: must stay 0 forever. */       \
   X(reread_from_rsds, "ofc.integrity.reread_from_rsds") /* Cache loss healed via RSDS. */
 
@@ -182,13 +181,6 @@ class Proxy : public faas::DataService {
 
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
   BreakerState breaker_state() const { return breaker_; }
-
-  // Admission gate consulted before a read miss populates the cache; OfcSystem
-  // wires it to the CacheAgent's memory-pressure watermarks so admissions are
-  // deferred (counted, not queued) while the worker's cache shrinks under
-  // pressure. Null (default) admits everything.
-  using AdmissionGate = std::function<bool(int worker)>;
-  void set_admission_gate(AdmissionGate gate) { admission_gate_ = std::move(gate); }
 
   // Assembled on demand from the metrics registry.
   ProxyStats stats() const;
@@ -269,8 +261,8 @@ class Proxy : public faas::DataService {
   void BreakerReport(bool success);
   void BreakerTrip();
   void BreakerClose();
-  // A capacity rejection is a healthy cache saying "full" (backpressure owns
-  // that), not a sick cache path; only other errors feed the breaker.
+  // A capacity rejection is a healthy cache saying "full", not a sick cache
+  // path; only other errors feed the breaker.
   static bool WriteHealthy(const Status& status) {
     return status.ok() || status.code() == StatusCode::kResourceExhausted;
   }
@@ -299,7 +291,6 @@ class Proxy : public faas::DataService {
   int breaker_successes_ = 0;  // Consecutive probe successes while half-open.
   SimTime breaker_open_until_ = 0;
   SimTime breaker_opened_at_ = 0;
-  AdmissionGate admission_gate_;
   Metrics m_;
   // Node-based, so the cell pointers cached in fn_metrics_by_index_ stay valid.
   std::map<std::string, FnMetrics> fn_metrics_;

@@ -30,7 +30,7 @@ ScrubberStats Scrubber::stats() const {
 
 void Scrubber::Tick() {
   ScrubClusterSlice();
-  if (options_.scrub_store && rsds_ != nullptr) {
+  if (rsds_ != nullptr) {
     ScrubStoreSlice();
   }
 }

@@ -41,7 +41,6 @@ struct ScrubberOptions {
   // Corrupt copies found on one node before it is quarantined. 0 disables
   // quarantining (scrub repairs but never drains).
   int quarantine_threshold = 8;
-  bool scrub_store = true;  // Also sweep the RSDS's objects.
   // Observability sink; null -> private registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -62,7 +61,7 @@ struct ScrubberStats {
 
 class Scrubber {
  public:
-  // `rsds` may be null (cluster-only scrubbing regardless of scrub_store).
+  // `rsds` may be null (cluster-only scrubbing).
   Scrubber(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsds,
            ScrubberOptions options = {});
 

@@ -50,7 +50,6 @@ class MetadataStore {
 
   Result<Document> Stat(const std::string& id) const;
   bool Exists(const std::string& id) const { return documents_.contains(id); }
-  std::size_t NumDocuments() const { return documents_.size(); }
   // Installs a document directly (bootstrap / test fixtures).
   void Seed(const std::string& id, std::string body);
 

@@ -145,11 +145,6 @@ const FunctionConfig* Platform::GetFunction(const std::string& name) const {
   return it == functions_.end() ? nullptr : &it->second;
 }
 
-FunctionConfig* Platform::GetMutableFunction(const std::string& name) {
-  auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second;
-}
-
 Bytes Platform::SandboxReserved(int worker) const {
   return worker_reserved_[static_cast<std::size_t>(worker)];
 }
@@ -256,7 +251,7 @@ void Platform::Dispatch(std::shared_ptr<Request> request) {
     request->has_demand = true;
   }
 
-  // Per-function / per-tenant concurrency caps: over-limit requests wait in
+  // Per-function concurrency cap: over-limit requests wait in
   // the queue (subject to depth/deadline shedding) and re-probe as running
   // invocations complete.
   if (OverConcurrencyLimit(*fn)) {
@@ -832,33 +827,19 @@ void Platform::Shed(std::shared_ptr<Request> request, obs::Counter* cell,
 }
 
 bool Platform::OverConcurrencyLimit(const FunctionConfig& fn) const {
-  if (options_.max_concurrency_per_function > 0) {
-    const auto it = running_per_function_.find(fn.spec.name);
-    if (it != running_per_function_.end() &&
-        it->second >= options_.max_concurrency_per_function) {
-      return true;
-    }
+  if (options_.max_concurrency_per_function <= 0) {
+    return false;
   }
-  if (options_.max_concurrency_per_tenant > 0) {
-    const auto it = running_per_tenant_.find(fn.tenant);
-    if (it != running_per_tenant_.end() &&
-        it->second >= options_.max_concurrency_per_tenant) {
-      return true;
-    }
-  }
-  return false;
+  const auto it = running_per_function_.find(fn.spec.name);
+  return it != running_per_function_.end() &&
+         it->second >= options_.max_concurrency_per_function;
 }
 
 void Platform::TrackRunning(const Request& request, int delta) {
-  if (options_.max_concurrency_per_function <= 0 &&
-      options_.max_concurrency_per_tenant <= 0) {
-    return;  // No limits configured; skip the bookkeeping entirely.
+  if (options_.max_concurrency_per_function <= 0) {
+    return;  // No limit configured; skip the bookkeeping entirely.
   }
   running_per_function_[request.function] += delta;
-  const FunctionConfig* fn = GetFunction(request.function);
-  if (fn != nullptr) {
-    running_per_tenant_[fn->tenant] += delta;
-  }
 }
 
 // ---- Pipelines ---------------------------------------------------------------------

@@ -64,7 +64,6 @@ struct PlatformOptions {
   std::size_t max_queue_depth = 0;       // Wait-queue slots (0 = unbounded).
   SimDuration queue_deadline = 0;        // Max queue wait (0 = no deadline).
   int max_concurrency_per_function = 0;  // Running invocations per function.
-  int max_concurrency_per_tenant = 0;    // Running invocations per tenant.
   // Observability sinks (src/obs/). When `metrics` is null the platform owns a
   // private registry (standalone construction in unit tests); `flight` may
   // stay null — lifecycle events are then skipped entirely.
@@ -267,8 +266,6 @@ class Platform {
 
   Status RegisterFunction(FunctionConfig config);
   const FunctionConfig* GetFunction(const std::string& name) const;
-  // Mutable access (tenant reconfiguration, e.g. "advanced" profile updates).
-  FunctionConfig* GetMutableFunction(const std::string& name);
 
   // Invokes a single-stage function.
   void Invoke(const std::string& function, std::vector<InputObject> inputs,
@@ -405,7 +402,7 @@ class Platform {
   void ShedExpired(std::uint64_t request_id);
   // Completes `request` with kResourceExhausted without running it.
   void Shed(std::shared_ptr<Request> request, obs::Counter* cell, const char* reason);
-  // True when dispatching `fn` now would exceed a concurrency limit.
+  // True when dispatching `fn` now would exceed the per-function concurrency limit.
   bool OverConcurrencyLimit(const FunctionConfig& fn) const;
   // Concurrency accounting paired with in_flight_ insert (+1) / erase (-1).
   void TrackRunning(const Request& request, int delta);
@@ -428,10 +425,9 @@ class Platform {
   std::map<std::uint64_t, std::shared_ptr<Request>> in_flight_;
   std::deque<std::shared_ptr<Request>> wait_queue_;
   bool drain_scheduled_ = false;
-  // Running-invocation counts behind the per-function / per-tenant concurrency
-  // limits. Only maintained when a limit is configured.
+  // Running-invocation counts behind the per-function concurrency limit. Only
+  // maintained when the limit is configured.
   std::map<std::string, int> running_per_function_;
-  std::map<std::string, int> running_per_tenant_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;

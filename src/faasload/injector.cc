@@ -384,13 +384,4 @@ void LoadInjector::Run(SimDuration duration) {
   }
 }
 
-const TenantResult* LoadInjector::ResultFor(const std::string& tenant) const {
-  for (const TenantResult& result : results_) {
-    if (result.name == tenant) {
-      return &result;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace ofc::faasload

@@ -102,7 +102,6 @@ class LoadInjector {
   void AddSampler(SimDuration period, std::function<void()> sampler);
 
   const std::vector<TenantResult>& results() const { return results_; }
-  const TenantResult* ResultFor(const std::string& tenant) const;
 
   // Exactly-once accounting across the whole run: every fired invocation (or
   // pipeline) must produce exactly one completion record.

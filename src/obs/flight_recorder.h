@@ -127,10 +127,6 @@ struct FlightKindSpec {
   X(kMigration, "migration", true,                                                                 \
     kSpanFrom, "migrate-master", "cache", kPidCache, kTidWorker, "", "key")                        \
   X(kEvict, "evict", true) /* Object left the cache; detail = eviction reason. */                  \
-  X(kPressureEnter, "pressure_enter", true,                                                        \
-    kInstant, "pressure-enter", "overload", kPidCache, kTidWorker)                                 \
-  X(kPressureExit, "pressure_exit", true,                                                          \
-    kInstant, "pressure-exit", "overload", kPidCache, kTidWorker)                                  \
   /* fault/ + ramcloud/. */                                                                        \
   X(kFaultInject, "fault_inject", true,                                                            \
     kInstant, "$s:inject", "fault", kPidFaults, kTidZero, "target")                                \

@@ -78,8 +78,6 @@ class Series {
   double sum() const { return running_.sum(); }
   const RunningStat& running() const { return running_; }
   const Samples& samples() const { return samples_; }
-  // Bucketed rendering over [lo, hi) for ASCII output (reuses common Histogram).
-  Histogram ToHistogram(double lo, double hi, std::size_t buckets) const;
   void Reset() {
     running_ = RunningStat();
     samples_ = Samples();
@@ -112,7 +110,6 @@ class MetricsRegistry {
   const Series* FindSeries(const std::string& name, const std::string& label = "") const;
   // Sum across all labels of a counter family.
   std::uint64_t CounterTotal(const std::string& name) const;
-  std::size_t NumFamilies() const { return families_.size(); }
 
   // ---- Visitation (timeline scrapes) ---------------------------------------------
   //

@@ -186,67 +186,6 @@ void Cluster::Write(int client_node, const std::string& key, Bytes size,
   loop_->ScheduleAfter(cost, [done = std::move(done), status] { done(status); });
 }
 
-void Cluster::ConditionalWrite(int client_node, const std::string& key, Bytes size,
-                               std::uint64_t expected_version, std::uint64_t new_version,
-                               ObjectClass object_class, bool dirty, Callback done) {
-  auto it = objects_.find(key);
-  const std::uint64_t current = it == objects_.end() ? 0 : it->second.version;
-  if (current != expected_version) {
-    ++*m_.version_conflicts;
-    loop_->ScheduleAfter(options_.local_access.Cost(0, &rng_),
-                         [done = std::move(done), key] {
-                           done(AbortedError("version mismatch: " + key));
-                         });
-    return;
-  }
-  SimDuration cost = 0;
-  const Status status = ApplyWrite(client_node, key, size, new_version, object_class,
-                                   dirty, /*fingerprint=*/0, &cost);
-  loop_->ScheduleAfter(cost, [done = std::move(done), status] { done(status); });
-}
-
-void Cluster::Commit(int client_node, std::vector<TxWrite> writes, Callback done) {
-  // Validation phase: every expected version must hold (and sizes be legal)
-  // before anything is applied — mismatches abort with no side effects.
-  for (const TxWrite& write : writes) {
-    auto it = objects_.find(write.key);
-    const std::uint64_t current = it == objects_.end() ? 0 : it->second.version;
-    if (current != write.expected_version) {
-      ++*m_.version_conflicts;
-      loop_->ScheduleAfter(options_.remote_access.Cost(0, &rng_),
-                           [done = std::move(done), key = write.key] {
-                             done(AbortedError("transaction conflict on " + key));
-                           });
-      return;
-    }
-    if (write.size <= 0 || write.size > options_.max_object_size) {
-      loop_->ScheduleAfter(0, [done = std::move(done)] {
-        done(InvalidArgumentError("transaction write outside cacheable range"));
-      });
-      return;
-    }
-  }
-  // Apply phase. A capacity failure mid-way is surfaced as kResourceExhausted;
-  // earlier writes of the transaction are rolled back by removal.
-  SimDuration cost = options_.remote_access.Cost(0, &rng_);  // Prepare round.
-  std::vector<std::string> applied;
-  for (const TxWrite& write : writes) {
-    const Status status = ApplyWrite(client_node, write.key, write.size,
-                                     write.new_version, write.object_class, write.dirty,
-                                     /*fingerprint=*/0, &cost);
-    if (!status.ok()) {
-      for (const std::string& key : applied) {
-        (void)Remove(key);
-      }
-      loop_->ScheduleAfter(cost, [done = std::move(done), status] { done(status); });
-      return;
-    }
-    applied.push_back(write.key);
-  }
-  ++*m_.transactions_committed;
-  loop_->ScheduleAfter(cost, [done = std::move(done)] { done(OkStatus()); });
-}
-
 void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
   auto it = objects_.find(key);
   ++*m_.reads;
@@ -370,15 +309,6 @@ Status Cluster::MarkPersisted(const std::string& key) {
   }
   it->second.dirty = false;
   it->second.persisted = true;
-  return OkStatus();
-}
-
-Status Cluster::SetObjectClass(const std::string& key, ObjectClass object_class) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
-    return NotFoundError("set class: " + key);
-  }
-  it->second.object_class = object_class;
   return OkStatus();
 }
 

@@ -120,8 +120,6 @@ struct RecoveryResult {
   X(read_misses, "ofc.ramcloud.read_misses")                                                       \
   X(writes, "ofc.ramcloud.writes")                                                                 \
   X(write_rejects, "ofc.ramcloud.write_rejects")                                                   \
-  X(version_conflicts, "ofc.ramcloud.version_conflicts") /* CAS writes/commits aborted. */         \
-  X(transactions_committed, "ofc.ramcloud.transactions_committed")                                 \
   X(migrations, "ofc.ramcloud.migrations")                                                         \
   X(evictions, "ofc.ramcloud.evictions")                                                           \
   X(node_crashes, "ofc.ramcloud.node_crashes")                                                     \
@@ -174,27 +172,6 @@ class Cluster {
   // corrupt payload is never returned.
   void Read(int client_node, const std::string& key, ReadCallback done);
 
-  // Conditional write (RAMCloud's reject rules, the primitive behind the
-  // linearizable extensions of the paper's [24]): applies only when the cached
-  // object's current version equals `expected_version` (0 = must not exist);
-  // otherwise fails with kAborted and changes nothing.
-  void ConditionalWrite(int client_node, const std::string& key, Bytes size,
-                        std::uint64_t expected_version, std::uint64_t new_version,
-                        ObjectClass object_class, bool dirty, Callback done);
-
-  // All-or-nothing multi-object commit (Sinfonia-style mini-transaction):
-  // every write's expected version is validated first; on any mismatch the
-  // whole transaction aborts without side effects.
-  struct TxWrite {
-    std::string key;
-    Bytes size = 0;
-    std::uint64_t expected_version = 0;  // 0 = the object must not exist.
-    std::uint64_t new_version = 0;
-    ObjectClass object_class = ObjectClass::kInput;
-    bool dirty = false;
-  };
-  void Commit(int client_node, std::vector<TxWrite> writes, Callback done);
-
   // ---- Coordinator queries (synchronous, control plane) ----------------------
 
   bool Contains(const std::string& key) const { return objects_.contains(key); }
@@ -202,13 +179,13 @@ class Cluster {
   Result<CachedObject> Inspect(const std::string& key) const;
   std::size_t NumObjects() const { return objects_.size(); }
 
-  // Keys mastered on `node`, unsorted (CacheAgent applies its own policy order).
+  // Keys mastered on `node`, unsorted.
   std::vector<std::string> KeysOn(int node) const;
 
   // Bulk metadata export: a snapshot of every object mastered on `node`, with
   // its access statistics (n_access, T_access, created_at), in the same order
   // KeysOn yields keys. One map walk instead of KeysOn + per-key Inspect — the
-  // cache policy engine ranks reclamation candidates from this.
+  // CacheAgent's sweep and reclamation phases work from this.
   std::vector<CachedObject> ObjectsOn(int node) const;
 
   // ---- Object management ------------------------------------------------------
@@ -217,7 +194,6 @@ class Cluster {
   Status Remove(const std::string& key);
   // Marks the payload as persisted in the RSDS (persistor completion).
   Status MarkPersisted(const std::string& key);
-  Status SetObjectClass(const std::string& key, ObjectClass object_class);
 
   // ---- Vertical scaling --------------------------------------------------------
 

@@ -7,10 +7,6 @@
 
 namespace ofc::store {
 
-std::string MakeKey(const std::string& container, const std::string& name) {
-  return container + "/" + name;
-}
-
 ObjectStore::ObjectStore(sim::EventLoop* loop, StoreProfile profile, Rng rng,
                          std::string name, obs::MetricsRegistry* metrics)
     : loop_(loop), profile_(profile), rng_(rng), name_(std::move(name)) {

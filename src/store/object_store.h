@@ -36,9 +36,6 @@ namespace ofc::store {
 
 using ObjectVersion = std::uint64_t;
 
-// Key = "container/object"; helpers keep call sites tidy.
-std::string MakeKey(const std::string& container, const std::string& name);
-
 // Feature tags extracted at object-creation time (§5.1.2: extraction runs as a
 // background task so it is off the invocation critical path).
 using Tags = std::map<std::string, std::string>;

@@ -487,10 +487,9 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
         "ofc.platform.crash_retries", "ofc.ramcloud.node_crashes",
         "ofc.ramcloud.node_restarts", "ofc.ramcloud.objects_recovered",
         "ofc.ramcloud.objects_lost", "ofc.store.unavailable_errors",
-        "ofc.store.webhook_bypasses", "ofc.overload.shed",
-        "ofc.overload.admission_deferred", "ofc.breaker.opens", "ofc.breaker.closes",
-        "ofc.breaker.bypassed_reads", "ofc.breaker.bypassed_writes",
-        "ofc.cache_agent.writebacks_throttled", "ofc.fault.objects_corrupted",
+        "ofc.store.webhook_bypasses", "ofc.overload.shed", "ofc.breaker.opens",
+        "ofc.breaker.closes", "ofc.breaker.bypassed_reads", "ofc.breaker.bypassed_writes",
+        "ofc.fault.objects_corrupted",
         "ofc.integrity.checksum_failures", "ofc.integrity.repairs",
         "ofc.integrity.read_data_loss", "ofc.integrity.corrupt_acked",
         "ofc.integrity.reread_from_rsds", "ofc.integrity.store_checksum_failures",

@@ -281,5 +281,35 @@ TEST(FlagsTest, ParseNumberRejectsMalformedAndOutOfRangeValues) {
   EXPECT_EQ(seconds, 1.0);
 }
 
+TEST(FlagsTest, ParseDurationConvertsToWholeMicros) {
+  SimDuration d = 0;
+  EXPECT_TRUE(ParseDuration("--s", "2.5", Seconds(1), &d));
+  EXPECT_EQ(d, Micros(2'500'000));
+  EXPECT_TRUE(ParseDuration("--ms", "250", Millis(1), &d));
+  EXPECT_EQ(d, Millis(250));
+  EXPECT_TRUE(ParseDuration("--s", "0", Seconds(1), &d));
+  EXPECT_EQ(d, 0);
+  EXPECT_TRUE(ParseDuration("--s", "4611686018427", Seconds(1), &d));  // Just under 2^62 us.
+  EXPECT_GT(d, Seconds(4611686018426));
+  EXPECT_LT(d, kMaxFlagDuration);
+}
+
+TEST(FlagsTest, ParseDurationRejectsNonFiniteOverflowingAndMalformedValues) {
+  SimDuration d = 7;
+  EXPECT_FALSE(ParseDuration("--queue-deadline-s", "1e300", Seconds(1), &d));
+  EXPECT_FALSE(ParseDuration("--breaker-open-s", "1e300", Seconds(1), &d));
+  EXPECT_FALSE(ParseDuration("--inject-breach-at", "1e300", Seconds(1), &d));
+  EXPECT_FALSE(ParseDuration("--s", "4611686018428", Seconds(1), &d));  // Past 2^62 us.
+  EXPECT_FALSE(ParseDuration("--s", "1e400", Seconds(1), &d));  // Past double range.
+  EXPECT_FALSE(ParseDuration("--s", "nan", Seconds(1), &d));
+  EXPECT_FALSE(ParseDuration("--s", "inf", Seconds(1), &d));
+  EXPECT_FALSE(ParseDuration("--s", "-1", Seconds(1), &d));
+  EXPECT_FALSE(ParseDuration("--s", "60x", Seconds(1), &d));  // Trailing junk.
+  EXPECT_FALSE(ParseDuration("--s", "", Seconds(1), &d));
+  EXPECT_FALSE(ParseDuration("--s", "0", Seconds(1), &d, /*above=*/true));
+  EXPECT_FALSE(ParseDuration("--s", "1e-7", Seconds(1), &d, /*above=*/true));  // 0 us.
+  EXPECT_EQ(d, 7);  // Untouched on failure.
+}
+
 }  // namespace
 }  // namespace ofc

@@ -460,28 +460,6 @@ TEST_F(PlatformTest, ConcurrencyLimitQueuesWithoutShedding) {
   EXPECT_GE(platform_->stats().queued_requests, 2u);
 }
 
-TEST_F(PlatformTest, TenantConcurrencyLimitSpansFunctions) {
-  PlatformOptions options;
-  options.max_concurrency_per_tenant = 1;
-  MakePlatform(options);
-  RegisterTiny("f1");
-  RegisterTiny("f2");  // Same default tenant as f1.
-  rsds_.Seed("in/obj", KiB(64), {});
-
-  std::vector<InvocationRecord> records;
-  for (const char* fn : {"f1", "f2"}) {
-    platform_->Invoke(fn, {InputObject{"in/obj", TinyImage()}}, {},
-                      [&records](const InvocationRecord& r) { records.push_back(r); });
-  }
-  while (records.size() < 2 && loop_.Step()) {
-  }
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_FALSE(records[0].failed);
-  EXPECT_FALSE(records[1].failed);
-  // The second function queued behind the tenant cap despite free capacity.
-  EXPECT_GE(platform_->stats().queued_requests, 1u);
-}
-
 TEST_F(PlatformTest, OomReleaseReprobesWaitQueue) {
   // Regression: a queued request whose function had no live sandboxes used to
   // wait out the whole OOM-retry window, because the OOM path released its

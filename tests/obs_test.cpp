@@ -510,7 +510,7 @@ TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
     const store::StoreStats view = env.rsds().stats();
     OFC_STORE_COUNTERS(AUDIT_COUNTER_ROW)
   }
-  EXPECT_EQ(audit.rows(), 91);
+  EXPECT_EQ(audit.rows(), 87);
   // The run exercised the lists: reads, hits, scale-ups, predictions, scrub
   // passes and the injected faults all moved their rows off zero.
   EXPECT_GE(audit.nonzero(), 30) << "scenario too idle to tell the views from zeros";

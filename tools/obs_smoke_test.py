@@ -120,7 +120,9 @@ def check_fault_records(binary, outdir):
 def check_bad_numeric_flags(binary):
     for arg in ("--workers=abc", "--workers=0", "--duration-min=-3",
                 "--duration-min=5x", "--interval-s=0", "--seed=-1",
-                "--pretrain=", "--queue-deadline-s=nan"):
+                "--pretrain=", "--queue-deadline-s=nan",
+                "--queue-deadline-s=1e300", "--crash-node-at=1:nan",
+                "--crash-node-at=1:60x"):
         try:
             proc = run(binary, [arg], timeout=60)
         except subprocess.TimeoutExpired:

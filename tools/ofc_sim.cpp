@@ -49,7 +49,7 @@ struct Flags {
   std::vector<std::string> pipelines;
   std::string arrivals = "poisson";
   int duration_min = 10;
-  double interval_s = 30.0;
+  SimDuration interval = Seconds(30);
   int workers = 4;
   int worker_gb = 16;
   std::uint64_t seed = 42;
@@ -61,8 +61,7 @@ struct Flags {
   bool log_sim_time = false;
   // Telemetry scrapes: a sim-clock timer samples the registry into windowed
   // timeline snapshots and (when SLOs are declared) evaluates burn rates.
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double scrape_interval_s = 10.0;
+  SimDuration scrape_interval = Seconds(10);
   std::string timeline_json;
   std::vector<obs::SloSpec> slo_specs;
   std::string health_json;
@@ -73,26 +72,23 @@ struct Flags {
   std::string dump_on_assert;  // Ring dump target when a SIM_ASSERT fires.
   // Hidden test hook: fires a deliberate SIM_ASSERT breach at S seconds so CI
   // can prove --dump-on-assert produces a dump on an invariant breach.
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double inject_breach_at_s = 0.0;
+  SimTime inject_breach_at = 0;
   // Declarative fault schedule (--fault-plan JSON plus --crash-node-at
   // shorthands), replayed by a FaultInjector alongside the workload.
   fault::FaultPlan fault_plan;
   // Background integrity scrubber: 0 = off. Walks cache copies and store
   // objects incrementally, repairing checksum divergence as it is found.
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double scrub_interval_s = 0.0;
+  SimDuration scrub_interval = 0;
   // Overload protection: platform admission control (queue depth / deadline /
   // concurrency, 0 = unbounded) and the proxy's cache-path circuit breaker
   // (threshold 0 = disabled).
   std::size_t queue_limit = 0;
-  // simlint: allow(float-sim-time) -- CLI flag in seconds, converted to integral SimDuration before use
-  double queue_deadline_s = 0.0;
+  SimDuration queue_deadline = 0;
   int max_concurrency = 0;
   int breaker_threshold = 0;
-  double breaker_open_s = 5.0;
+  SimDuration breaker_open = Seconds(5);
   int breaker_probes = 3;
-  double breaker_slo_ms = 0.0;
+  SimDuration breaker_slo = 0;
   // Run guards: --progress prints a heartbeat line every tenth of the horizon
   // (simulated time, invocations fired/completed, events dispatched) so long
   // scale runs are observably alive; --max-events caps the event loop's
@@ -148,40 +144,46 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
+// Splits `text` at every `separator`, keeping empty fields.
+std::vector<std::string> Split(const std::string& text, char separator) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t end = text.find(separator, start);
+    out.push_back(text.substr(start, end - start));
+    if (end == std::string::npos) {
+      return out;
+    }
+    start = end + 1;
+  }
+}
+
 // --crash-node-at=N:S[:D] — crash node N at S seconds, restart after D seconds
 // (D omitted or 0: the node stays down).
 bool ParseCrashNodeAt(const std::string& value, fault::FaultEvent* out) {
+  const std::vector<std::string> fields = Split(value, ':');
   int node = 0;
-  double at_s = 0.0;
-  double dur_s = 0.0;
-  const int matched =
-      std::sscanf(value.c_str(), "%d:%lf:%lf", &node, &at_s, &dur_s);
-  if (matched < 2 || node < 0 || at_s < 0.0 || dur_s < 0.0) {
+  SimTime at = 0;
+  SimDuration duration = 0;
+  const bool ok = (fields.size() == 2 || fields.size() == 3) &&
+                  ParseNumber("--crash-node-at N", fields[0], 0, &node) &&
+                  ParseDuration("--crash-node-at S", fields[1], Seconds(1), &at) &&
+                  (fields.size() == 2 ||
+                   ParseDuration("--crash-node-at D", fields[2], Seconds(1), &duration));
+  if (!ok) {
     std::fprintf(stderr, "bad --crash-node-at=%s (want N:S[:D])\n", value.c_str());
     return false;
   }
   out->kind = fault::FaultKind::kNodeCrash;
   out->target = node;
-  out->at = static_cast<SimTime>(at_s * 1e6);
-  out->duration = static_cast<SimDuration>(dur_s * 1e6);
+  out->at = at;
+  out->duration = duration;
   return true;
 }
 
 std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!token.empty()) {
-      out.push_back(token);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
+  std::vector<std::string> out = Split(csv, ',');
+  std::erase(out, std::string());
   return out;
 }
 
@@ -301,15 +303,12 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   env_options.platform.num_workers = flags.workers;
   env_options.platform.worker_memory = GiB(flags.worker_gb);
   env_options.platform.max_queue_depth = flags.queue_limit;
-  env_options.platform.queue_deadline =
-      static_cast<SimDuration>(flags.queue_deadline_s * 1e6);
+  env_options.platform.queue_deadline = flags.queue_deadline;
   env_options.platform.max_concurrency_per_function = flags.max_concurrency;
   env_options.ofc.proxy.breaker_failure_threshold = flags.breaker_threshold;
-  env_options.ofc.proxy.breaker_open_duration =
-      static_cast<SimDuration>(flags.breaker_open_s * 1e6);
+  env_options.ofc.proxy.breaker_open_duration = flags.breaker_open;
   env_options.ofc.proxy.breaker_half_open_probes = flags.breaker_probes;
-  env_options.ofc.proxy.breaker_latency_slo =
-      static_cast<SimDuration>(flags.breaker_slo_ms * 1e3);
+  env_options.ofc.proxy.breaker_latency_slo = flags.breaker_slo;
   env_options.seed = seed;
   faasload::Environment env(mode, env_options);
   if (!flags.trace_json.empty()) {
@@ -353,7 +352,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     faasload::TenantSpec spec;
     spec.name = "t-" + function;
     spec.function = function;
-    spec.mean_interval_s = flags.interval_s;
+    spec.mean_interval_s = ToSeconds(flags.interval);
     spec.arrivals = arrivals;
     if (!injector.AddTenant(spec).ok()) {
       return 1;
@@ -368,7 +367,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     spec.name = "t-" + pipeline;
     spec.function = pipeline;
     spec.is_pipeline = true;
-    spec.mean_interval_s = flags.interval_s;
+    spec.mean_interval_s = ToSeconds(flags.interval);
     spec.arrivals = arrivals;
     if (!injector.AddTenant(spec).ok()) {
       return 1;
@@ -394,13 +393,13 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
 
   // Background integrity scrubber: needs the cache cluster, so OFC mode only.
   std::unique_ptr<core::Scrubber> scrubber;
-  if (flags.scrub_interval_s > 0.0) {
+  if (flags.scrub_interval > 0) {
     if (env.cluster() == nullptr) {
       std::fprintf(stderr, "--scrub-interval-s needs a cache cluster (--mode=ofc)\n");
       return 1;
     }
     core::ScrubberOptions scrub_options;
-    scrub_options.interval = static_cast<SimDuration>(flags.scrub_interval_s * 1e6);
+    scrub_options.interval = flags.scrub_interval;
     scrub_options.metrics = &env.metrics();
     scrubber = std::make_unique<core::Scrubber>(&env.loop(), env.cluster(), &env.rsds(),
                                                 scrub_options);
@@ -419,7 +418,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
         &env.metrics(), flags.trace_json.empty() ? nullptr : &env.trace(), flags.slo_specs);
     timeline = std::make_unique<obs::TimelineRecorder>(&env.metrics());
     scraper = std::make_unique<sim::PeriodicTask>(
-        &env.loop(), static_cast<SimDuration>(flags.scrape_interval_s * 1e6),
+        &env.loop(), flags.scrape_interval,
         [&slo, &timeline](SimTime now) {
           slo->Evaluate(now);
           timeline->Scrape(now);
@@ -427,8 +426,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     scraper->Start();
   }
 
-  if (flags.inject_breach_at_s > 0.0) {
-    env.loop().ScheduleAt(static_cast<SimTime>(flags.inject_breach_at_s * 1e6), [&env] {
+  if (flags.inject_breach_at > 0) {
+    env.loop().ScheduleAt(flags.inject_breach_at, [&env] {
       SIM_ASSERT(false) << "; injected invariant breach (--inject-breach-at) at t="
                         << ToSeconds(env.loop().now()) << "s";
     });
@@ -722,11 +721,11 @@ int RunSelfcheck(const Flags& flags) {
   // shedding and breaker transitions are also held to byte-identical replays.
   Flags overload = flags;
   overload.arrivals = "bursty";
-  overload.interval_s = std::min(flags.interval_s, 5.0);
+  overload.interval = std::min(flags.interval, Seconds(5));
   overload.queue_limit = 8;
-  overload.queue_deadline_s = 2.0;
+  overload.queue_deadline = Seconds(2);
   overload.breaker_threshold = 3;
-  overload.breaker_open_s = 10.0;
+  overload.breaker_open = Seconds(10);
   overload.breaker_probes = 2;
   overload.fault_plan.events = {
       {Seconds(30), fault::FaultKind::kStoreBrownout, -1, Seconds(60), 4.0},
@@ -740,7 +739,7 @@ int RunSelfcheck(const Flags& flags) {
   // with the background scrubber on, so detection, self-healing reads, and
   // scrub repairs are also held to byte-identical replays.
   Flags corruption = flags;
-  corruption.scrub_interval_s = 5.0;
+  corruption.scrub_interval = Seconds(5);
   corruption.fault_plan.events = {
       {Seconds(30), fault::FaultKind::kCorruptSegment, 0, 0, 3.0},
       {Seconds(50), fault::FaultKind::kCorruptReplica,
@@ -768,7 +767,7 @@ int Main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--interval-s", &value)) {
-      if (!ParseNumber("--interval-s", value, 0.0, &flags.interval_s, /*above=*/true)) {
+      if (!ParseDuration("--interval-s", value, Seconds(1), &flags.interval, /*above=*/true)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--workers", &value)) {
@@ -797,8 +796,8 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--log-sim-time") == 0) {
       flags.log_sim_time = true;
     } else if (ParseFlag(argv[i], "--scrape-interval-s", &value)) {
-      if (!ParseNumber("--scrape-interval-s", value, 0.0, &flags.scrape_interval_s,
-                       /*above=*/true)) {
+      if (!ParseDuration("--scrape-interval-s", value, Seconds(1), &flags.scrape_interval,
+                         /*above=*/true)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--timeline-json", &flags.timeline_json)) {
@@ -825,7 +824,7 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--flight-json", &flags.flight_json)) {
     } else if (ParseFlag(argv[i], "--dump-on-assert", &flags.dump_on_assert)) {
     } else if (ParseFlag(argv[i], "--inject-breach-at", &value)) {
-      if (!ParseNumber("--inject-breach-at", value, 0.0, &flags.inject_breach_at_s)) {
+      if (!ParseDuration("--inject-breach-at", value, Seconds(1), &flags.inject_breach_at)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--fault-plan", &value)) {
@@ -849,7 +848,8 @@ int Main(int argc, char** argv) {
       }
       flags.fault_plan.events.push_back(event);
     } else if (ParseFlag(argv[i], "--scrub-interval-s", &value)) {
-      if (!ParseNumber("--scrub-interval-s", value, 0.0, &flags.scrub_interval_s, /*above=*/true)) {
+      if (!ParseDuration("--scrub-interval-s", value, Seconds(1), &flags.scrub_interval,
+                         /*above=*/true)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--queue-limit", &value)) {
@@ -857,7 +857,7 @@ int Main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--queue-deadline-s", &value)) {
-      if (!ParseNumber("--queue-deadline-s", value, 0.0, &flags.queue_deadline_s)) {
+      if (!ParseDuration("--queue-deadline-s", value, Seconds(1), &flags.queue_deadline)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--max-concurrency", &value)) {
@@ -869,7 +869,7 @@ int Main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--breaker-open-s", &value)) {
-      if (!ParseNumber("--breaker-open-s", value, 0.0, &flags.breaker_open_s)) {
+      if (!ParseDuration("--breaker-open-s", value, Seconds(1), &flags.breaker_open)) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--breaker-probes", &value)) {
@@ -877,7 +877,7 @@ int Main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--breaker-slo-ms", &value)) {
-      if (!ParseNumber("--breaker-slo-ms", value, 0.0, &flags.breaker_slo_ms)) {
+      if (!ParseDuration("--breaker-slo-ms", value, Millis(1), &flags.breaker_slo)) {
         return 1;
       }
     } else if (std::strcmp(argv[i], "--progress") == 0) {
