@@ -8,12 +8,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/units.h"
+#include "src/obs/export_util.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -32,36 +32,32 @@ struct ObsFlags {
   bool TraceRequested() const { return !trace_json.empty(); }
 };
 
-// Nullopt (after naming the flag on stderr) when --trace-sample is not a
-// positive integer.
-inline std::optional<ObsFlags> ParseObsFlags(int argc, char** argv) {
-  ObsFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "--metrics-json", &flags.metrics_json) ||
-        ParseFlag(argv[i], "--metrics-csv", &flags.metrics_csv) ||
-        ParseFlag(argv[i], "--trace-json", &flags.trace_json)) {
-      continue;
-    }
-    if (ParseFlag(argv[i], "--trace-sample", &value) &&
-        !ParseNumber("--trace-sample", value, std::uint64_t{1}, &flags.trace_sample)) {
-      return std::nullopt;
-    }
-  }
-  return flags;
+// The flag rows that bind `flags`.
+inline std::vector<FlagRow> ObsFlagRows(ObsFlags* flags) {
+  return {
+      {"Observability", "--metrics-json=PATH", "Write the final metrics snapshot as JSON.",
+       PathFlag(&flags->metrics_json)},
+      {"Observability", "--metrics-csv=PATH", "Write the final metrics snapshot as CSV.",
+       PathFlag(&flags->metrics_csv)},
+      {"Observability", "--trace-json=PATH",
+       "Write the Chrome trace-event JSON of a bench that records one.",
+       PathFlag(&flags->trace_json)},
+      {"Observability", "--trace-sample=N",
+       "With --trace-json: record every Nth invocation id (default 1 = all).",
+       NumberFlag(&flags->trace_sample, 1)},
+  };
 }
 
-// Writes the requested snapshots; unset paths are skipped.
-inline void ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics,
+// Writes the requested snapshots; unset paths are skipped. False (after naming
+// the path on stderr) when a write fails.
+inline bool ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics,
                       const obs::TraceRecorder* trace, SimTime now) {
-  auto write = [](const std::string& path, const std::string& body) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+  bool ok = true;
+  auto write = [&ok](const std::string& path, const std::string& body) {
+    if (!obs::WriteTextFile(path, body)) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return;
+      ok = false;
     }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
   };
   if (!flags.metrics_json.empty()) {
     write(flags.metrics_json, metrics.SnapshotJson(now));
@@ -70,10 +66,11 @@ inline void ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics
     write(flags.metrics_csv, metrics.SnapshotCsv(now));
   }
   if (!flags.trace_json.empty() && trace != nullptr) {
-    trace->WriteJson(flags.trace_json);
+    write(flags.trace_json, trace->ToJson());
     std::printf("trace: %zu events (%zu dropped) -> %s\n", trace->num_events(),
                 trace->num_dropped(), flags.trace_json.c_str());
   }
+  return ok;
 }
 
 // Prints a banner naming the experiment being reproduced.

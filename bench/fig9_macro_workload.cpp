@@ -83,12 +83,13 @@ void Run(int tenants_per_function) {
 
 int main(int argc, char** argv) {
   int tenants_per_function = 1;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ofc::ParseFlag(argv[i], "--tenants-per-function", &value) &&
-        !ofc::ParseNumber("--tenants-per-function", value, 1, &tenants_per_function)) {
-      return 2;
-    }
+  const ofc::FlagRow rows[] = {
+      {"Scenario", "--tenants-per-function=N",
+       "Tenants per function (default 1, the 8-tenant run; 3 gives the 24-tenant run).",
+       ofc::NumberFlag(&tenants_per_function, 1)},
+  };
+  if (!ofc::ParseFlags(argc, argv, rows)) {
+    return 2;
   }
   ofc::Run(tenants_per_function);
   return 0;

@@ -12,12 +12,12 @@
 // roughly the injected cache-fault window at every load point.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/faasload/environment.h"
+#include "src/obs/export_util.h"
 #include "src/workloads/functions.h"
 #include "src/workloads/media.h"
 
@@ -127,29 +127,31 @@ LoadPoint RunPoint(SimDuration interarrival, std::uint64_t seed) {
   return point;
 }
 
-void WriteJson(const std::string& path, const std::vector<LoadPoint>& points) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"overload_degradation\",\n  \"points\": [\n");
+// False (after naming the path on stderr) when the write fails.
+bool WriteJson(const std::string& path, const std::vector<LoadPoint>& points) {
+  std::string json = "{\n  \"bench\": \"overload_degradation\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const LoadPoint& p = points[i];
-    std::fprintf(f,
-                 "    {\"offered_rps\": %.3f, \"scheduled\": %d, \"succeeded\": %d, "
-                 "\"shed\": %d, \"goodput_rps\": %.3f, \"shed_rate\": %.4f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"breaker_open_s\": %.3f}%s\n",
-                 p.offered_rps, p.scheduled, p.succeeded, p.shed, p.goodput_rps,
-                 p.shed_rate, p.p50_ms, p.p99_ms, p.breaker_open_s,
-                 i + 1 < points.size() ? "," : "");
+    char line[512];
+    std::snprintf(line, sizeof(line),
+                  "    {\"offered_rps\": %.3f, \"scheduled\": %d, \"succeeded\": %d, "
+                  "\"shed\": %d, \"goodput_rps\": %.3f, \"shed_rate\": %.4f, "
+                  "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"breaker_open_s\": %.3f}%s\n",
+                  p.offered_rps, p.scheduled, p.succeeded, p.shed, p.goodput_rps,
+                  p.shed_rate, p.p50_ms, p.p99_ms, p.breaker_open_s,
+                  i + 1 < points.size() ? "," : "");
+    json += line;
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  json += "  ]\n}\n";
+  if (!obs::WriteTextFile(path, json)) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
   std::printf("\nwrote %zu load points -> %s\n", points.size(), path.c_str());
+  return true;
 }
 
-void Run(const std::string& json_path) {
+bool Run(const std::string& json_path) {
   bench::Banner("Overload protection & graceful degradation",
                 "robustness extension (bounded admission + cache breaker)");
 
@@ -179,7 +181,7 @@ void Run(const std::string& json_path) {
       "rate absorbs the excess; P99 stays bounded by the 2 s queue deadline; the\n"
       "breaker is open for roughly the injected 20 s cache-fault window.\n");
 
-  WriteJson(json_path, points);
+  return WriteJson(json_path, points);
 }
 
 }  // namespace
@@ -187,11 +189,12 @@ void Run(const std::string& json_path) {
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_overload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
+  const ofc::FlagRow rows[] = {
+      {"Output", "--json=PATH", "Write the load points as JSON (default BENCH_overload.json).",
+       ofc::PathFlag(&json_path)},
+  };
+  if (!ofc::ParseFlags(argc, argv, rows)) {
+    return 2;
   }
-  ofc::Run(json_path);
-  return 0;
+  return ofc::Run(json_path) ? 0 : 1;
 }

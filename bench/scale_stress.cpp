@@ -9,20 +9,15 @@
 // event pattern, so the JSON carries both sides of the hot-path comparison
 // (the README perf table's before/after column).
 //
-// Usage:
-//   scale_stress [--invocations=N] [--tenants=N] [--duration-s=S] [--seed=N]
-//                [--mode=ofc|owk-swift|owk-redis] [--out=BENCH_scale.json]
-//                [--loop-events=N] [--skip-loop-compare] [--progress]
-//
-// The default 1M-invocation run finishes in minutes; CI's perf-smoke tier runs
-// a downscaled --invocations=50000 pass and gates on
-// tools/check_scale_bench.py against bench/scale_floor.json.
+// Run `scale_stress --help` for the flags. The default 1M-invocation run
+// finishes in minutes; CI's perf-smoke tier runs a downscaled
+// --invocations=50000 pass and gates on tools/check_scale_bench.py against
+// bench/scale_floor.json.
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>  // simlint: allow(wall-clock) -- this bench measures the simulator's real throughput, not simulated time
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,7 +54,7 @@ struct Flags {
   std::size_t tenants = 64;
   SimDuration duration = Seconds(3600);
   std::uint64_t seed = 42;
-  std::string mode = "ofc";
+  faasload::Mode mode = faasload::Mode::kOfc;
   std::string out = "BENCH_scale.json";
   std::uint64_t loop_events = 2'000'000;  // Per side of the loop comparison.
   bool skip_loop_compare = false;
@@ -115,45 +110,29 @@ double MeasureLoopEps(std::uint64_t total_events, std::size_t actors) {
   return wall > 0 ? static_cast<double>(shared->dispatched) / wall : 0.0;
 }
 
-faasload::Mode ParseMode(const std::string& mode) {
-  if (mode == "owk-swift") {
-    return faasload::Mode::kOwkSwift;
-  }
-  if (mode == "owk-redis") {
-    return faasload::Mode::kOwkRedis;
-  }
-  return faasload::Mode::kOfc;
-}
-
 int Main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string v;
-    bool ok = true;
-    if (ParseFlag(arg, "--invocations", &v)) {
-      ok = ParseNumber("--invocations", v, std::uint64_t{1}, &flags.invocations);
-    } else if (ParseFlag(arg, "--tenants", &v)) {
-      ok = ParseNumber("--tenants", v, std::size_t{1}, &flags.tenants);
-    } else if (ParseFlag(arg, "--duration-s", &v)) {
-      ok = ParseDuration("--duration-s", v, Seconds(1), &flags.duration, /*above=*/true);
-    } else if (ParseFlag(arg, "--seed", &v)) {
-      ok = ParseNumber("--seed", v, std::uint64_t{0}, &flags.seed);
-    } else if (ParseFlag(arg, "--mode", &flags.mode)) {
-    } else if (ParseFlag(arg, "--out", &flags.out)) {
-    } else if (ParseFlag(arg, "--loop-events", &v)) {
-      ok = ParseNumber("--loop-events", v, std::uint64_t{1}, &flags.loop_events);
-    } else if (std::strcmp(arg, "--skip-loop-compare") == 0) {
-      flags.skip_loop_compare = true;
-    } else if (std::strcmp(arg, "--progress") == 0) {
-      flags.progress = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg);
-      return 2;
-    }
-    if (!ok) {
-      return 2;
-    }
+  const FlagRow rows[] = {
+      {"Scale", "--invocations=N", "Target invocations in the synthesized trace (default 1000000).",
+       NumberFlag(&flags.invocations, 1)},
+      {"Scale", "--tenants=N", "Tenants in the trace (default 64).", NumberFlag(&flags.tenants, 1)},
+      {"Scale", "--duration-s=S", "Simulated horizon in seconds (default 3600).",
+       DurationFlag(&flags.duration, Seconds(1), /*above=*/true)},
+      {"Scale", "--seed=N", "Root RNG seed (default 42).", NumberFlag(&flags.seed, 0)},
+      {"Scale", "--mode=ofc|owk-swift|owk-redis", "System under test (default ofc).",
+       ChoiceFlag(&flags.mode, faasload::kModeChoices)},
+      {"Scale", "--out=PATH", "Write the report JSON here (default BENCH_scale.json).",
+       PathFlag(&flags.out)},
+      {"Scale", "--progress", "Print a heartbeat every tenth of the horizon.",
+       SwitchFlag(&flags.progress)},
+      {"Event-loop comparison", "--loop-events=N",
+       "Events per side of the legacy-vs-optimized loop comparison (default 2000000).",
+       NumberFlag(&flags.loop_events, 1)},
+      {"Event-loop comparison", "--skip-loop-compare", "Skip the event-loop comparison.",
+       SwitchFlag(&flags.skip_loop_compare)},
+  };
+  if (!ParseFlags(argc, argv, rows)) {
+    return 2;
   }
 
   bench::Banner("Scale stress: " + std::to_string(flags.invocations) +
@@ -185,7 +164,7 @@ int Main(int argc, char** argv) {
   env_options.seed = flags.seed;
   env_options.platform.num_workers = 8;
   env_options.platform.worker_memory = GiB(32);
-  faasload::Environment env(ParseMode(flags.mode), env_options);
+  faasload::Environment env(flags.mode, env_options);
   faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, flags.seed);
   injector.set_max_records_per_tenant(0);  // Counters only; no per-record retention.
   if (Status status = injector.AddScaleTrace(trace); !status.ok()) {
@@ -243,7 +222,8 @@ int Main(int argc, char** argv) {
   json += "  \"tenants\": " + std::to_string(flags.tenants) + ",\n";
   json += "  \"duration_s\": " + obs::JsonNumber(ToSeconds(flags.duration)) + ",\n";
   json += "  \"seed\": " + std::to_string(flags.seed) + ",\n";
-  json += "  \"mode\": \"" + flags.mode + "\",\n";
+  json += "  \"mode\": \"" + std::string(FlagChoiceName(faasload::kModeChoices, flags.mode)) +
+          "\",\n";
   json += "  \"expected_invocations\": " + obs::JsonNumber(trace.expected_invocations) + ",\n";
   json += "  \"invocations_fired\": " + std::to_string(fired) + ",\n";
   json += "  \"invocations_completed\": " + std::to_string(completed) + ",\n";
@@ -268,13 +248,10 @@ int Main(int argc, char** argv) {
           obs::JsonNumber(legacy_eps > 0 ? optimized_eps / legacy_eps : 0.0) + "}\n";
   json += "}\n";
 
-  std::FILE* f = std::fopen(flags.out.c_str(), "w");
-  if (f == nullptr) {
+  if (!obs::WriteTextFile(flags.out, json)) {
     std::fprintf(stderr, "cannot write %s\n", flags.out.c_str());
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
   const double export_wall = SecondsSince(export_start);
   std::printf("wrote %s (setup %.2fs, run %.2fs, export %.2fs)\n", flags.out.c_str(),
               setup_wall, run_wall, export_wall);

@@ -19,7 +19,7 @@
 namespace ofc {
 namespace {
 
-void Run(const bench::ObsFlags& obs_flags) {
+bool Run(const bench::ObsFlags& obs_flags) {
   bench::Banner("OFC internal metrics during the macro workload", "Table 2 (§7.2.2)");
 
   bench::Table table({"Metric", "Normal", "Naive", "Advanced"});
@@ -108,17 +108,16 @@ void Run(const bench::ObsFlags& obs_flags) {
       "failed invocations, hit ratio 93-99%% (naive highest).\n");
 
   const bench::MacroResult& last = results.back();
-  bench::ExportObs(obs_flags, *last.metrics, /*trace=*/nullptr, last.end_time);
+  return bench::ExportObs(obs_flags, *last.metrics, /*trace=*/nullptr, last.end_time);
 }
 
 }  // namespace
 }  // namespace ofc
 
 int main(int argc, char** argv) {
-  const auto obs_flags = ofc::bench::ParseObsFlags(argc, argv);
-  if (!obs_flags) {
+  ofc::bench::ObsFlags obs_flags;
+  if (!ofc::ParseFlags(argc, argv, ofc::bench::ObsFlagRows(&obs_flags))) {
     return 2;
   }
-  ofc::Run(*obs_flags);
-  return 0;
+  return ofc::Run(obs_flags) ? 0 : 1;
 }

@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/core/ofc_system.h"
 #include "src/faas/direct_data_service.h"
 #include "src/faas/platform.h"
@@ -26,6 +27,10 @@
 namespace ofc::faasload {
 
 enum class Mode { kOwkSwift, kOwkRedis, kOfc };
+
+// The --mode spellings of ofc-sim and scale_stress.
+inline constexpr FlagChoice<Mode> kModeChoices[] = {
+    {"ofc", Mode::kOfc}, {"owk-swift", Mode::kOwkSwift}, {"owk-redis", Mode::kOwkRedis}};
 
 std::string ModeName(Mode mode);
 

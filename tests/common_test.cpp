@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/rng.h"
@@ -240,14 +241,124 @@ TEST(SlidingTimeWindowTest, MaxTracksWindow) {
   EXPECT_DOUBLE_EQ(w.MaxAt(Seconds(13)), 3.0);
 }
 
-TEST(FlagsTest, ParseFlagMatchesOnlyNameEqualsValue) {
-  std::string value;
-  EXPECT_TRUE(ParseFlag("--seed=7", "--seed", &value));
-  EXPECT_EQ(value, "7");
-  EXPECT_TRUE(ParseFlag("--seed=", "--seed", &value));
-  EXPECT_EQ(value, "");
-  EXPECT_FALSE(ParseFlag("--seed", "--seed", &value));
-  EXPECT_FALSE(ParseFlag("--seeds=7", "--seed", &value));
+// A small flag table over local fields, one row per binder kind.
+struct TestFlags {
+  enum class Color { kRed, kBlue };
+  static constexpr FlagChoice<Color> kColors[] = {{"red", Color::kRed}, {"blue", Color::kBlue}};
+
+  std::uint64_t seed = 42;
+  std::string out;
+  bool progress = false;
+  std::vector<std::string> functions;
+  Color color = Color::kRed;
+  std::size_t ring = 0;
+  std::vector<std::string> events;
+
+  std::vector<FlagRow> Rows() {
+    return {
+        {"G", "--seed=N", "", NumberFlag(&seed, 0)},
+        {"G", "--out=PATH", "", PathFlag(&out)},
+        {"G", "--progress", "", SwitchFlag(&progress)},
+        {"G", "--functions=f1,...", "", ListFlag(&functions)},
+        {"G", "--color=red|blue", "", ChoiceFlag(&color, kColors)},
+        {"G", "--ring[=N]", "",
+         [this](const char* flag, const std::string* value) {
+           if (value == nullptr) {
+             ring = 4096;
+             return true;
+           }
+           return ParseNumber(flag, *value, std::size_t{1}, &ring);
+         }},
+        {"G", "--event=E", "",
+         [this](const char*, const std::string* value) {
+           events.push_back(*value);
+           return true;
+         }},
+    };
+  }
+
+  // Runs ParseFlags over `args` as argv[1..].
+  bool Parse(std::vector<std::string> args) {
+    std::string program = "test";
+    std::vector<char*> argv = {program.data()};
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    return ParseFlags(static_cast<int>(argv.size()), argv.data(), Rows());
+  }
+};
+
+TEST(FlagsTest, ParseFlagsSplitsNameFromValueAtTheFirstEquals) {
+  TestFlags flags;
+  EXPECT_TRUE(flags.Parse({"--seed=7", "--out=a=b"}));
+  EXPECT_EQ(flags.seed, 7u);
+  EXPECT_EQ(flags.out, "a=b");
+  EXPECT_TRUE(flags.Parse({"--out="}));
+  EXPECT_EQ(flags.out, "");
+  EXPECT_FALSE(flags.Parse({"--seeds=7"}));
+}
+
+TEST(FlagsTest, ParseFlagsRejectsUnknownFlagsAndPositionalArguments) {
+  TestFlags flags;
+  EXPECT_FALSE(flags.Parse({"--no-such-flag"}));
+  EXPECT_FALSE(flags.Parse({"--seed=1", "--no-such-flag=3"}));
+  EXPECT_FALSE(flags.Parse({"seed=1"}));
+  EXPECT_FALSE(flags.Parse({"--help"}));
+}
+
+TEST(FlagsTest, ParseFlagsRejectsABareSwitchGivenAValue) {
+  TestFlags flags;
+  EXPECT_FALSE(flags.Parse({"--progress=1"}));
+  EXPECT_FALSE(flags.Parse({"--progress="}));
+  EXPECT_FALSE(flags.progress);
+  EXPECT_TRUE(flags.Parse({"--progress"}));
+  EXPECT_TRUE(flags.progress);
+}
+
+TEST(FlagsTest, ParseFlagsRejectsAValuedFlagGivenNone) {
+  TestFlags flags;
+  EXPECT_FALSE(flags.Parse({"--seed"}));
+  EXPECT_FALSE(flags.Parse({"--out"}));
+  EXPECT_EQ(flags.seed, 42u);
+}
+
+TEST(FlagsTest, ChoiceFlagRejectsANameOutsideItsList) {
+  TestFlags flags;
+  EXPECT_TRUE(flags.Parse({"--color=blue"}));
+  EXPECT_EQ(flags.color, TestFlags::Color::kBlue);
+  EXPECT_FALSE(flags.Parse({"--color=green"}));
+  EXPECT_FALSE(flags.Parse({"--color=Blue"}));
+  EXPECT_FALSE(flags.Parse({"--color="}));
+  EXPECT_EQ(flags.color, TestFlags::Color::kBlue);
+  EXPECT_STREQ(FlagChoiceName(TestFlags::kColors, TestFlags::Color::kBlue), "blue");
+}
+
+TEST(FlagsTest, OptionalValueFlagTakesBothForms) {
+  TestFlags flags;
+  EXPECT_TRUE(flags.Parse({"--ring"}));
+  EXPECT_EQ(flags.ring, 4096u);
+  EXPECT_TRUE(flags.Parse({"--ring=8"}));
+  EXPECT_EQ(flags.ring, 8u);
+  EXPECT_FALSE(flags.Parse({"--ring=0"}));
+  EXPECT_FALSE(flags.Parse({"--ring="}));
+  EXPECT_EQ(flags.ring, 8u);
+}
+
+TEST(FlagsTest, ListFlagDropsEmptyFields) {
+  TestFlags flags;
+  EXPECT_TRUE(flags.Parse({"--functions=a,,b,"}));
+  EXPECT_EQ(flags.functions, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(flags.Parse({"--functions=,,"}));
+  EXPECT_TRUE(flags.functions.empty());
+}
+
+TEST(FlagsTest, LaterRepeatOverridesWhileAccumulatingBindersAccumulate) {
+  TestFlags flags;
+  EXPECT_TRUE(flags.Parse({"--seed=1", "--event=x", "--functions=a", "--seed=3", "--event=y",
+                           "--functions=b,c"}));
+  EXPECT_EQ(flags.seed, 3u);
+  EXPECT_EQ(flags.functions, (std::vector<std::string>{"b", "c"}));
+  EXPECT_EQ(flags.events, (std::vector<std::string>{"x", "y"}));
 }
 
 TEST(FlagsTest, ParseNumberAcceptsWholeValuesAtOrAboveTheBound) {

@@ -5,16 +5,19 @@ Drives the built CLI binary through the telemetry paths CI cares about:
 
   1. a scraped run with SLOs + flight recorder writes timeline/health/flight
      JSON that parses and passes tools/check_timeline.py's structural checks;
-  2. unwritable output paths fail loudly — nonzero exit and a stderr line
-     naming the path — for every artifact flag (never a silent exit 0);
+  2. unwritable output paths (a missing directory, and /dev/full where it
+     exists, which opens but fails the write) fail loudly — nonzero exit and
+     a stderr line naming the path — for every artifact flag (never a silent
+     exit 0);
   3. the negative post-mortem path: --inject-breach-at trips a SIM_ASSERT and
      --dump-on-assert captures a flight dump naming the breach, with the
      process exiting nonzero;
   4. injected faults reach the flight dump: a --crash-node-at run records the
      fault_inject/fault_heal pair next to the node_crash/node_restart it
      caused;
-  5. malformed or out-of-range numeric flags exit nonzero with a message
-     naming the flag (never a crash, never a silent empty run).
+  5. malformed or out-of-range numeric flags, names outside a choice list and
+     a bare switch given a value exit nonzero with a message naming the flag
+     (never a crash, never a silent empty run).
 
 Usage: obs_smoke_test.py <path-to-ofc-sim> [--keep-artifacts DIR]
 Exit status: 0 clean, 1 failure, 2 usage error.
@@ -67,16 +70,19 @@ def check_scraped_run(binary, outdir):
 
 
 def check_unwritable_outputs(binary):
-    bad = "/nonexistent-ofc-dir/out.json"
-    for flag in ("--metrics-json", "--metrics-csv", "--trace-json",
-                 "--timeline-json", "--health-json", "--flight-json"):
-        proc = run(binary, ["--mode=ofc", "--duration-min=1",
-                            f"{flag}={bad}"])
-        if proc.returncode == 0:
-            fail(f"{flag}={bad} exited 0; expected a loud failure")
-        if bad not in proc.stderr:
-            fail(f"{flag}: stderr does not name the unwritable path: "
-                 f"{proc.stderr.strip()!r}")
+    paths = ["/nonexistent-ofc-dir/out.json"]
+    if os.path.exists("/dev/full"):
+        paths.append("/dev/full")
+    for bad in paths:
+        for flag in ("--metrics-json", "--metrics-csv", "--trace-json",
+                     "--timeline-json", "--health-json", "--flight-json"):
+            proc = run(binary, ["--mode=ofc", "--duration-min=1",
+                                f"{flag}={bad}"])
+            if proc.returncode == 0:
+                fail(f"{flag}={bad} exited 0; expected a loud failure")
+            if bad not in proc.stderr:
+                fail(f"{flag}={bad}: stderr does not name the unwritable "
+                     f"path: {proc.stderr.strip()!r}")
 
 
 def check_breach_dump(binary, outdir):
@@ -122,7 +128,8 @@ def check_bad_numeric_flags(binary):
                 "--duration-min=5x", "--interval-s=0", "--seed=-1",
                 "--pretrain=", "--queue-deadline-s=nan",
                 "--queue-deadline-s=1e300", "--crash-node-at=1:nan",
-                "--crash-node-at=1:60x"):
+                "--crash-node-at=1:60x", "--mode=bogus", "--profile=x",
+                "--arrivals=x", "--progress=1"):
         try:
             proc = run(binary, [arg], timeout=60)
         except subprocess.TimeoutExpired:

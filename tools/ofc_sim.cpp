@@ -4,8 +4,9 @@
 // OFC and prints per-tenant latency summaries plus OFC's internal counters —
 // the quickest way to explore the system without writing code.
 //
-// The full flag reference lives in kFlagDocs below (the single source of
-// truth behind --help and the generated docs/cli.md; see tools/gen_cli_docs.py).
+// FlagTable() below is the only declaration of the flags: Main() parses argv
+// through its rows, --help prints them, and tools/gen_cli_docs.py renders them
+// into docs/cli.md.
 //
 // Examples:
 //   ofc_sim --mode=ofc --functions=wand_blur,wand_edge --duration-min=10
@@ -20,7 +21,6 @@
 //   ofc_sim --selfcheck-determinism              # replay twice, diff metrics
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +35,7 @@
 #include "src/faasload/injector.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
+#include "src/obs/export_util.h"
 #include "src/obs/slo.h"
 #include "src/obs/timeline.h"
 #include "src/sim/periodic.h"
@@ -42,12 +43,24 @@
 namespace ofc {
 namespace {
 
+constexpr FlagChoice<faasload::TenantProfile> kProfileChoices[] = {
+    {"normal", faasload::TenantProfile::kNormal},
+    {"naive", faasload::TenantProfile::kNaive},
+    {"advanced", faasload::TenantProfile::kAdvanced}};
+
+constexpr FlagChoice<faasload::ArrivalPattern> kArrivalChoices[] = {
+    {"poisson", faasload::ArrivalPattern::kExponential},
+    {"periodic", faasload::ArrivalPattern::kPeriodic},
+    {"bursty", faasload::ArrivalPattern::kBursty}};
+
+// What the flags set. FlagTable() binds each field, and its help text says what
+// the field does; a zero duration, count or capacity means off or unbounded.
 struct Flags {
-  std::string mode = "ofc";
-  std::string profile = "normal";
+  faasload::Mode mode = faasload::Mode::kOfc;
+  faasload::TenantProfile profile = faasload::TenantProfile::kNormal;
   std::vector<std::string> functions;
   std::vector<std::string> pipelines;
-  std::string arrivals = "poisson";
+  faasload::ArrivalPattern arrivals = faasload::ArrivalPattern::kExponential;
   int duration_min = 10;
   SimDuration interval = Seconds(30);
   int workers = 4;
@@ -59,29 +72,16 @@ struct Flags {
   std::string trace_json;
   std::uint64_t trace_sample = 1;
   bool log_sim_time = false;
-  // Telemetry scrapes: a sim-clock timer samples the registry into windowed
-  // timeline snapshots and (when SLOs are declared) evaluates burn rates.
   SimDuration scrape_interval = Seconds(10);
   std::string timeline_json;
   std::vector<obs::SloSpec> slo_specs;
   std::string health_json;
-  // Black-box flight recorder: 0 = off; --flight-recorder arms the default
-  // ring, --flight-recorder=N sizes it.
   std::size_t flight_capacity = 0;
-  std::string flight_json;     // End-of-run ring dump (independent of asserts).
-  std::string dump_on_assert;  // Ring dump target when a SIM_ASSERT fires.
-  // Hidden test hook: fires a deliberate SIM_ASSERT breach at S seconds so CI
-  // can prove --dump-on-assert produces a dump on an invariant breach.
+  std::string flight_json;
+  std::string dump_on_assert;
   SimTime inject_breach_at = 0;
-  // Declarative fault schedule (--fault-plan JSON plus --crash-node-at
-  // shorthands), replayed by a FaultInjector alongside the workload.
   fault::FaultPlan fault_plan;
-  // Background integrity scrubber: 0 = off. Walks cache copies and store
-  // objects incrementally, repairing checksum divergence as it is found.
   SimDuration scrub_interval = 0;
-  // Overload protection: platform admission control (queue depth / deadline /
-  // concurrency, 0 = unbounded) and the proxy's cache-path circuit breaker
-  // (threshold 0 = disabled).
   std::size_t queue_limit = 0;
   SimDuration queue_deadline = 0;
   int max_concurrency = 0;
@@ -89,18 +89,9 @@ struct Flags {
   SimDuration breaker_open = Seconds(5);
   int breaker_probes = 3;
   SimDuration breaker_slo = 0;
-  // Run guards: --progress prints a heartbeat line every tenth of the horizon
-  // (simulated time, invocations fired/completed, events dispatched) so long
-  // scale runs are observably alive; --max-events caps the event loop's
-  // dispatch budget so a runaway scenario terminates instead of spinning.
   bool progress = false;
   std::uint64_t max_events = 0;
-  // Replays the scenario twice (same seed, perturbed unordered-container hash
-  // salt) and diffs the metrics snapshots and event-loop fingerprint; exits
-  // nonzero on any divergence.
   bool selfcheck = false;
-  // Test hook: leaks the replay index into the workload seed so the selfcheck
-  // MUST fail. Exists so CI can prove the selfcheck detects nondeterminism.
   bool selfcheck_perturb = false;
 };
 
@@ -115,18 +106,6 @@ struct RunOutcome {
   std::uint64_t events_scheduled = 0;
   std::uint64_t invocations = 0;
 };
-
-// Writes `body` to `path`; returns false (with a message) on failure.
-bool WriteFile(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
-}
 
 // Reads `path` fully into `*out`; returns false (with a message) on failure.
 bool ReadFile(const std::string& path, std::string* out) {
@@ -144,158 +123,140 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-// Splits `text` at every `separator`, keeping empty fields.
-std::vector<std::string> Split(const std::string& text, char separator) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t end = text.find(separator, start);
-    out.push_back(text.substr(start, end - start));
-    if (end == std::string::npos) {
-      return out;
-    }
-    start = end + 1;
-  }
-}
-
 // --crash-node-at=N:S[:D] — crash node N at S seconds, restart after D seconds
-// (D omitted or 0: the node stays down).
-bool ParseCrashNodeAt(const std::string& value, fault::FaultEvent* out) {
-  const std::vector<std::string> fields = Split(value, ':');
-  int node = 0;
-  SimTime at = 0;
-  SimDuration duration = 0;
-  const bool ok = (fields.size() == 2 || fields.size() == 3) &&
-                  ParseNumber("--crash-node-at N", fields[0], 0, &node) &&
-                  ParseDuration("--crash-node-at S", fields[1], Seconds(1), &at) &&
-                  (fields.size() == 2 ||
-                   ParseDuration("--crash-node-at D", fields[2], Seconds(1), &duration));
-  if (!ok) {
-    std::fprintf(stderr, "bad --crash-node-at=%s (want N:S[:D])\n", value.c_str());
-    return false;
-  }
-  out->kind = fault::FaultKind::kNodeCrash;
-  out->target = node;
-  out->at = at;
-  out->duration = duration;
-  return true;
-}
-
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out = Split(csv, ',');
-  std::erase(out, std::string());
-  return out;
-}
-
-// One flag's documentation. The table below is the single source of truth for
-// the flag reference: Usage() renders it to stderr and tools/gen_cli_docs.py
-// parses it into docs/cli.md (CI runs the generator with --check, so this
-// table, the Main() parser, and the committed docs cannot drift apart).
-struct FlagDoc {
-  const char* group;  // Section heading; consecutive entries share a group.
-  const char* spec;   // Flag grammar, e.g. "--mode=ofc|owk-swift|owk-redis".
-  const char* help;   // One-line description (docs table cell).
-};
-
-// FLAG-TABLE-BEGIN (parsed by tools/gen_cli_docs.py; keep one entry per line)
-constexpr FlagDoc kFlagDocs[] = {
-    {"Scenario", "--mode=ofc|owk-swift|owk-redis", "System under test: OFC, or the vanilla OpenWhisk baselines against Swift/Redis (default ofc)."},
-    {"Scenario", "--profile=normal|naive|advanced", "Tenant memory-booking profile: honest, 2x over-booked, or finely tuned (default normal)."},
-    {"Scenario", "--functions=f1,f2,...", "Comma-separated function tenants (default wand_blur,wand_sepia,wand_edge; see `available functions` in --help)."},
-    {"Scenario", "--pipelines=p1,...", "Comma-separated pipeline tenants (see `available pipelines` in --help)."},
-    {"Scenario", "--arrivals=poisson|periodic|bursty", "Inter-arrival process per tenant (default poisson)."},
-    {"Scenario", "--duration-min=N", "Simulated run length in minutes (default 10)."},
-    {"Scenario", "--interval-s=N", "Mean inter-arrival interval per tenant in seconds (default 30)."},
-    {"Scenario", "--workers=N", "Number of worker nodes (default 4)."},
-    {"Scenario", "--worker-gb=N", "Memory per worker in GiB (default 16)."},
-    {"Scenario", "--seed=N", "Root RNG seed; same seed + same flags = byte-identical run (default 42)."},
-    {"Scenario", "--pretrain=N", "Offline pretraining invocations per function before the run (default 1000)."},
-    {"Observability", "--metrics-json=PATH", "Write the end-of-run metrics snapshot as JSON."},
-    {"Observability", "--metrics-csv=PATH", "Write the end-of-run metrics snapshot as CSV (one row per cell)."},
-    {"Observability", "--trace-json=PATH", "Record Chrome trace-event JSON of invocation/control-plane spans (open in ui.perfetto.dev)."},
-    {"Observability", "--trace-sample=N", "With --trace-json: record every Nth invocation id (default 1 = all)."},
-    {"Observability", "--log-sim-time", "Prefix every log line with the simulated clock (t=<seconds>s)."},
-    {"Observability", "--scrape-interval-s=S", "Telemetry scrape period for the timeline/SLO loop (default 10)."},
-    {"Observability", "--timeline-json=PATH", "Write windowed counter/gauge/series snapshots scraped on the sim clock."},
-    {"Observability", "--slo=SPEC;...|@FILE", "SLO burn-rate specs (name=lat:metric:pN:ms or name=rate:num/den:frac), inline or @file."},
-    {"Observability", "--health-json=PATH", "Write the SLO health summary (worst burn, alerts) at end of run."},
-    {"Observability", "--flight-recorder[=N]", "Arm the black-box event ring (default capacity 4096; =N sizes it)."},
-    {"Observability", "--flight-json=PATH", "Dump the flight-recorder ring to PATH at end of run."},
-    {"Observability", "--dump-on-assert=PATH", "Dump the flight-recorder ring to PATH when a SIM_ASSERT fires."},
-    {"Fault injection", "--fault-plan=PATH", "Replay a declarative JSON fault schedule alongside the workload."},
-    {"Fault injection", "--crash-node-at=N:S[:D]", "Crash node N at S seconds, restart after D seconds (omitted/0 = stays down)."},
-    {"Fault injection", "--scrub-interval-s=S", "Arm the background integrity scrubber with the given period (OFC mode only)."},
-    {"Overload protection", "--queue-limit=N", "Platform admission queue depth bound (0 = unbounded)."},
-    {"Overload protection", "--queue-deadline-s=S", "Shed queued invocations older than S seconds (0 = never)."},
-    {"Overload protection", "--max-concurrency=N", "Per-function concurrent invocation cap (0 = unbounded)."},
-    {"Overload protection", "--breaker-threshold=N", "Cache-path circuit breaker: open after N consecutive failures (0 = disabled)."},
-    {"Overload protection", "--breaker-open-s=S", "Breaker open-state duration before half-open probing (default 5)."},
-    {"Overload protection", "--breaker-probes=N", "Successful half-open probes required to close the breaker (default 3)."},
-    {"Overload protection", "--breaker-slo-ms=MS", "Treat cache reads slower than MS as breaker failures (0 = latency ignored)."},
-    {"Run guards", "--progress", "Print a liveness heartbeat to stderr every tenth of the horizon."},
-    {"Run guards", "--max-events=N", "Cap the event loop's dispatch budget; a runaway run truncates instead of spinning."},
-    {"Self-checks", "--selfcheck-determinism", "Replay the scenario twice (perturbed hash salt) and diff all artifacts; nonzero exit on divergence."},
-    {"Self-checks", "--selfcheck-perturb", "Test hook: leak the replay index into the seed so the selfcheck must fail."},
-    {"Self-checks", "--inject-breach-at=S", "Test hook: fire a deliberate SIM_ASSERT at S seconds (proves --dump-on-assert works)."},
-};
-// FLAG-TABLE-END
-
-int Usage() {
-  std::fprintf(stderr, "usage: ofc_sim [flags]\n");
-  const char* group = "";
-  for (const FlagDoc& doc : kFlagDocs) {
-    if (std::strcmp(group, doc.group) != 0) {
-      group = doc.group;
-      std::fprintf(stderr, "\n%s:\n", group);
+// (D omitted or 0: the node stays down). Each use adds one event to `plan`.
+FlagBinder CrashNodeAtFlag(fault::FaultPlan* plan) {
+  return [plan](const char* flag, const std::string* value) {
+    const std::vector<std::string> fields = Split(*value, ':');
+    fault::FaultEvent event;
+    event.kind = fault::FaultKind::kNodeCrash;
+    const bool ok =
+        (fields.size() == 2 || fields.size() == 3) &&
+        ParseNumber("--crash-node-at N", fields[0], 0, &event.target) &&
+        ParseDuration("--crash-node-at S", fields[1], Seconds(1), &event.at) &&
+        (fields.size() == 2 ||
+         ParseDuration("--crash-node-at D", fields[2], Seconds(1), &event.duration));
+    if (!ok) {
+      std::fprintf(stderr, "bad %s=%s (want N:S[:D])\n", flag, value->c_str());
+      return false;
     }
-    std::fprintf(stderr, "  %s\n      %s\n", doc.spec, doc.help);
-  }
-  std::fprintf(stderr, "\navailable functions:\n");
+    plan->events.push_back(event);
+    return true;
+  };
+}
+
+// --fault-plan=PATH: each use adds the file's events to `plan`.
+FlagBinder FaultPlanFlag(fault::FaultPlan* plan) {
+  return [plan](const char* flag, const std::string* value) {
+    std::string body;
+    if (!ReadFile(*value, &body)) {
+      return false;
+    }
+    const auto parsed = fault::ParseFaultPlanJson(body);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s=%s: %s\n", flag, value->c_str(),
+                   parsed.status().message().c_str());
+      return false;
+    }
+    plan->events.insert(plan->events.end(), parsed->events.begin(), parsed->events.end());
+    return true;
+  };
+}
+
+// --slo=SPEC;...|@FILE: each use adds its specs to `specs`.
+FlagBinder SloFlag(std::vector<obs::SloSpec>* specs) {
+  return [specs](const char* flag, const std::string* value) {
+    std::string text = *value;
+    if (!text.empty() && text[0] == '@') {
+      text.clear();
+      if (!ReadFile(value->substr(1), &text)) {
+        return false;
+      }
+    }
+    std::string error;
+    if (!obs::ParseSloSpecs(text, specs, &error)) {
+      std::fprintf(stderr, "%s: %s\n", flag, error.c_str());
+      return false;
+    }
+    return true;
+  };
+}
+
+// --flight-recorder arms the default 4096-event ring; --flight-recorder=N
+// sizes it.
+FlagBinder FlightRecorderFlag(std::size_t* capacity) {
+  return [capacity](const char* flag, const std::string* value) {
+    if (value == nullptr) {
+      *capacity = 4096;
+      return true;
+    }
+    return ParseNumber(flag, *value, std::size_t{1}, capacity);
+  };
+}
+
+// ofc-sim's flags, bound to `f`.
+std::vector<FlagRow> FlagTable(Flags* f) {
+  // FLAG-TABLE-BEGIN (parsed by tools/gen_cli_docs.py; keep one row per line)
+  return {
+    {"Scenario", "--mode=ofc|owk-swift|owk-redis", "System under test: OFC, or the vanilla OpenWhisk baselines against Swift/Redis (default ofc).", ChoiceFlag(&f->mode, faasload::kModeChoices)},
+    {"Scenario", "--profile=normal|naive|advanced", "Tenant memory-booking profile: honest, 2x over-booked, or finely tuned (default normal).", ChoiceFlag(&f->profile, kProfileChoices)},
+    {"Scenario", "--functions=f1,f2,...", "Comma-separated function tenants (default wand_blur,wand_sepia,wand_edge; see `available functions` in --help).", ListFlag(&f->functions)},
+    {"Scenario", "--pipelines=p1,...", "Comma-separated pipeline tenants (see `available pipelines` in --help).", ListFlag(&f->pipelines)},
+    {"Scenario", "--arrivals=poisson|periodic|bursty", "Inter-arrival process per tenant (default poisson).", ChoiceFlag(&f->arrivals, kArrivalChoices)},
+    {"Scenario", "--duration-min=N", "Simulated run length in minutes (default 10).", NumberFlag(&f->duration_min, 1)},
+    {"Scenario", "--interval-s=N", "Mean inter-arrival interval per tenant in seconds (default 30).", DurationFlag(&f->interval, Seconds(1), /*above=*/true)},
+    {"Scenario", "--workers=N", "Number of worker nodes (default 4).", NumberFlag(&f->workers, 1)},
+    {"Scenario", "--worker-gb=N", "Memory per worker in GiB (default 16).", NumberFlag(&f->worker_gb, 1)},
+    {"Scenario", "--seed=N", "Root RNG seed; same seed + same flags = byte-identical run (default 42).", NumberFlag(&f->seed, 0)},
+    {"Scenario", "--pretrain=N", "Offline pretraining invocations per function before the run (default 1000).", NumberFlag(&f->pretrain, 0)},
+    {"Observability", "--metrics-json=PATH", "Write the end-of-run metrics snapshot as JSON.", PathFlag(&f->metrics_json)},
+    {"Observability", "--metrics-csv=PATH", "Write the end-of-run metrics snapshot as CSV (one row per cell).", PathFlag(&f->metrics_csv)},
+    {"Observability", "--trace-json=PATH", "Record Chrome trace-event JSON of invocation/control-plane spans (open in ui.perfetto.dev).", PathFlag(&f->trace_json)},
+    {"Observability", "--trace-sample=N", "With --trace-json: record every Nth invocation id (default 1 = all).", NumberFlag(&f->trace_sample, 1)},
+    {"Observability", "--log-sim-time", "Prefix every log line with the simulated clock (t=<seconds>s).", SwitchFlag(&f->log_sim_time)},
+    {"Observability", "--scrape-interval-s=S", "Telemetry scrape period for the timeline/SLO loop (default 10).", DurationFlag(&f->scrape_interval, Seconds(1), /*above=*/true)},
+    {"Observability", "--timeline-json=PATH", "Write windowed counter/gauge/series snapshots scraped on the sim clock.", PathFlag(&f->timeline_json)},
+    {"Observability", "--slo=SPEC;...|@FILE", "SLO burn-rate specs (name=lat:metric:pN:ms or name=rate:num/den:frac), inline or @file.", SloFlag(&f->slo_specs)},
+    {"Observability", "--health-json=PATH", "Write the SLO health summary (worst burn, alerts) at end of run.", PathFlag(&f->health_json)},
+    {"Observability", "--flight-recorder[=N]", "Arm the black-box event ring (default capacity 4096; =N sizes it).", FlightRecorderFlag(&f->flight_capacity)},
+    {"Observability", "--flight-json=PATH", "Dump the flight-recorder ring to PATH at end of run.", PathFlag(&f->flight_json)},
+    {"Observability", "--dump-on-assert=PATH", "Dump the flight-recorder ring to PATH when a SIM_ASSERT fires.", PathFlag(&f->dump_on_assert)},
+    {"Fault injection", "--fault-plan=PATH", "Replay a declarative JSON fault schedule alongside the workload.", FaultPlanFlag(&f->fault_plan)},
+    {"Fault injection", "--crash-node-at=N:S[:D]", "Crash node N at S seconds, restart after D seconds (omitted/0 = stays down).", CrashNodeAtFlag(&f->fault_plan)},
+    {"Fault injection", "--scrub-interval-s=S", "Arm the background integrity scrubber with the given period (OFC mode only).", DurationFlag(&f->scrub_interval, Seconds(1), /*above=*/true)},
+    {"Overload protection", "--queue-limit=N", "Platform admission queue depth bound (0 = unbounded).", NumberFlag(&f->queue_limit, 0)},
+    {"Overload protection", "--queue-deadline-s=S", "Shed queued invocations older than S seconds (0 = never).", DurationFlag(&f->queue_deadline, Seconds(1))},
+    {"Overload protection", "--max-concurrency=N", "Per-function concurrent invocation cap (0 = unbounded).", NumberFlag(&f->max_concurrency, 0)},
+    {"Overload protection", "--breaker-threshold=N", "Cache-path circuit breaker: open after N consecutive failures (0 = disabled).", NumberFlag(&f->breaker_threshold, 0)},
+    {"Overload protection", "--breaker-open-s=S", "Breaker open-state duration before half-open probing (default 5).", DurationFlag(&f->breaker_open, Seconds(1))},
+    {"Overload protection", "--breaker-probes=N", "Successful half-open probes required to close the breaker (default 3).", NumberFlag(&f->breaker_probes, 1)},
+    {"Overload protection", "--breaker-slo-ms=MS", "Treat cache reads slower than MS as breaker failures (0 = latency ignored).", DurationFlag(&f->breaker_slo, Millis(1))},
+    {"Run guards", "--progress", "Print a liveness heartbeat to stderr every tenth of the horizon.", SwitchFlag(&f->progress)},
+    {"Run guards", "--max-events=N", "Cap the event loop's dispatch budget; a runaway run truncates instead of spinning.", NumberFlag(&f->max_events, 1)},
+    {"Self-checks", "--selfcheck-determinism", "Replay the scenario twice (perturbed hash salt) and diff all artifacts; nonzero exit on divergence.", SwitchFlag(&f->selfcheck)},
+    {"Self-checks", "--selfcheck-perturb", "Test hook: leak the replay index into the seed so the selfcheck must fail.", SwitchFlag(&f->selfcheck_perturb)},
+    {"Self-checks", "--inject-breach-at=S", "Test hook: fire a deliberate SIM_ASSERT at S seconds (proves --dump-on-assert works).", DurationFlag(&f->inject_breach_at, Seconds(1))},
+  };
+  // FLAG-TABLE-END
+}
+
+// The names --functions and --pipelines accept; ends the usage message.
+std::string Catalog() {
+  std::string out = "\navailable functions:\n";
   for (const workloads::FunctionSpec& spec : workloads::AllFunctions()) {
-    std::fprintf(stderr, "  %s\n", spec.name.c_str());
+    out += "  " + spec.name + "\n";
   }
-  std::fprintf(stderr, "available pipelines:\n");
+  out += "available pipelines:\n";
   for (const workloads::PipelineSpec& spec : workloads::AllPipelines()) {
-    std::fprintf(stderr, "  %s\n", spec.name.c_str());
+    out += "  " + spec.name + "\n";
   }
-  return 2;
+  return out;
 }
 
 // Runs the scenario described by `flags` once. `run_index` identifies the
 // replay for the selfcheck harness; `quiet` suppresses the human-readable
 // report. Returns 0 on success and fills `out`.
 int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutcome* out) {
-  faasload::Mode mode;
-  if (flags.mode == "ofc") {
-    mode = faasload::Mode::kOfc;
-  } else if (flags.mode == "owk-swift") {
-    mode = faasload::Mode::kOwkSwift;
-  } else if (flags.mode == "owk-redis") {
-    mode = faasload::Mode::kOwkRedis;
-  } else {
-    return Usage();
-  }
-  faasload::TenantProfile profile;
-  if (flags.profile == "normal") {
-    profile = faasload::TenantProfile::kNormal;
-  } else if (flags.profile == "naive") {
-    profile = faasload::TenantProfile::kNaive;
-  } else if (flags.profile == "advanced") {
-    profile = faasload::TenantProfile::kAdvanced;
-  } else {
-    return Usage();
-  }
-  faasload::ArrivalPattern arrivals;
-  if (flags.arrivals == "poisson") {
-    arrivals = faasload::ArrivalPattern::kExponential;
-  } else if (flags.arrivals == "periodic") {
-    arrivals = faasload::ArrivalPattern::kPeriodic;
-  } else if (flags.arrivals == "bursty") {
-    arrivals = faasload::ArrivalPattern::kBursty;
-  } else {
-    return Usage();
-  }
-
   // The deliberate bug behind --selfcheck-perturb: a replay-dependent seed.
   const std::uint64_t seed = flags.seed + (flags.selfcheck_perturb ? run_index : 0);
 
@@ -310,7 +271,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   env_options.ofc.proxy.breaker_half_open_probes = flags.breaker_probes;
   env_options.ofc.proxy.breaker_latency_slo = flags.breaker_slo;
   env_options.seed = seed;
-  faasload::Environment env(mode, env_options);
+  faasload::Environment env(flags.mode, env_options);
   if (!flags.trace_json.empty()) {
     env.trace().set_enabled(true);
     env.trace().set_sample_period(flags.trace_sample);
@@ -342,33 +303,33 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
       return std::string(buf);
     });
   }
-  faasload::LoadInjector injector(&env, profile, seed + 1);
+  faasload::LoadInjector injector(&env, flags.profile, seed + 1);
 
   for (const std::string& function : flags.functions) {
     if (workloads::FindFunction(function) == nullptr) {
-      std::fprintf(stderr, "unknown function: %s\n", function.c_str());
-      return Usage();
+      std::fprintf(stderr, "unknown function: %s\n%s", function.c_str(), Catalog().c_str());
+      return 2;
     }
     faasload::TenantSpec spec;
     spec.name = "t-" + function;
     spec.function = function;
     spec.mean_interval_s = ToSeconds(flags.interval);
-    spec.arrivals = arrivals;
+    spec.arrivals = flags.arrivals;
     if (!injector.AddTenant(spec).ok()) {
       return 1;
     }
   }
   for (const std::string& pipeline : flags.pipelines) {
     if (workloads::FindPipeline(pipeline) == nullptr) {
-      std::fprintf(stderr, "unknown pipeline: %s\n", pipeline.c_str());
-      return Usage();
+      std::fprintf(stderr, "unknown pipeline: %s\n%s", pipeline.c_str(), Catalog().c_str());
+      return 2;
     }
     faasload::TenantSpec spec;
     spec.name = "t-" + pipeline;
     spec.function = pipeline;
     spec.is_pipeline = true;
     spec.mean_interval_s = ToSeconds(flags.interval);
-    spec.arrivals = arrivals;
+    spec.arrivals = flags.arrivals;
     if (!injector.AddTenant(spec).ok()) {
       return 1;
     }
@@ -436,7 +397,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   injector.PretrainModels(flags.pretrain);
   if (!quiet) {
     std::printf("mode=%s profile=%s workers=%dx%dGiB duration=%dmin seed=%llu\n\n",
-                faasload::ModeName(mode).c_str(), faasload::TenantProfileName(profile).c_str(),
+                faasload::ModeName(flags.mode).c_str(),
+                faasload::TenantProfileName(flags.profile).c_str(),
                 flags.workers, flags.worker_gb, flags.duration_min,
                 static_cast<unsigned long long>(seed));
     if (!flags.fault_plan.empty()) {
@@ -579,20 +541,22 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
   out->invocations = env.platform().stats().invocations;
 
   bool ok = true;
-  if (!flags.metrics_json.empty()) {
-    ok = WriteFile(flags.metrics_json, out->metrics_json) && ok;
-  }
-  if (!flags.metrics_csv.empty()) {
-    ok = WriteFile(flags.metrics_csv, env.metrics().SnapshotCsv(env.loop().now())) && ok;
-  }
-  if (!flags.timeline_json.empty()) {
-    ok = WriteFile(flags.timeline_json, out->timeline_json) && ok;
-  }
-  if (!flags.health_json.empty()) {
-    ok = WriteFile(flags.health_json, out->health_json) && ok;
-  }
-  if (!flags.flight_json.empty()) {
-    ok = WriteFile(flags.flight_json, out->flight_json) && ok;
+  const struct {
+    const std::string& path;
+    std::string body;
+  } artifacts[] = {
+      {flags.metrics_json, out->metrics_json},
+      {flags.metrics_csv,
+       flags.metrics_csv.empty() ? "" : env.metrics().SnapshotCsv(env.loop().now())},
+      {flags.timeline_json, out->timeline_json},
+      {flags.health_json, out->health_json},
+      {flags.flight_json, out->flight_json},
+  };
+  for (const auto& artifact : artifacts) {
+    if (!artifact.path.empty() && !obs::WriteTextFile(artifact.path, artifact.body)) {
+      std::fprintf(stderr, "cannot write %s\n", artifact.path.c_str());
+      ok = false;
+    }
   }
   if (!flags.trace_json.empty()) {
     if (!env.trace().WriteJson(flags.trace_json)) {
@@ -701,7 +665,7 @@ int RunSelfcheck(const Flags& flags) {
   if (rc != 0) {
     return rc;
   }
-  if (flags.mode != "ofc" || !flags.fault_plan.empty()) {
+  if (flags.mode != faasload::Mode::kOfc || !flags.fault_plan.empty()) {
     return 0;
   }
   Flags chaos = flags;
@@ -720,7 +684,7 @@ int RunSelfcheck(const Flags& flags) {
   // breaker armed, the store browned out and the cache path degraded, so load
   // shedding and breaker transitions are also held to byte-identical replays.
   Flags overload = flags;
-  overload.arrivals = "bursty";
+  overload.arrivals = faasload::ArrivalPattern::kBursty;
   overload.interval = std::min(flags.interval, Seconds(5));
   overload.queue_limit = 8;
   overload.queue_deadline = Seconds(2);
@@ -753,154 +717,15 @@ int RunSelfcheck(const Flags& flags) {
 
 int Main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "--mode", &flags.mode)) {
-    } else if (ParseFlag(argv[i], "--profile", &flags.profile)) {
-    } else if (ParseFlag(argv[i], "--functions", &value)) {
-      flags.functions = SplitCsv(value);
-    } else if (ParseFlag(argv[i], "--pipelines", &value)) {
-      flags.pipelines = SplitCsv(value);
-    } else if (ParseFlag(argv[i], "--arrivals", &flags.arrivals)) {
-    } else if (ParseFlag(argv[i], "--duration-min", &value)) {
-      if (!ParseNumber("--duration-min", value, 1, &flags.duration_min)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--interval-s", &value)) {
-      if (!ParseDuration("--interval-s", value, Seconds(1), &flags.interval, /*above=*/true)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      if (!ParseNumber("--workers", value, 1, &flags.workers)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--worker-gb", &value)) {
-      if (!ParseNumber("--worker-gb", value, 1, &flags.worker_gb)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      if (!ParseNumber("--seed", value, std::uint64_t{0}, &flags.seed)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--pretrain", &value)) {
-      if (!ParseNumber("--pretrain", value, 0, &flags.pretrain)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--metrics-json", &flags.metrics_json)) {
-    } else if (ParseFlag(argv[i], "--metrics-csv", &flags.metrics_csv)) {
-    } else if (ParseFlag(argv[i], "--trace-json", &flags.trace_json)) {
-    } else if (ParseFlag(argv[i], "--trace-sample", &value)) {
-      if (!ParseNumber("--trace-sample", value, std::uint64_t{1}, &flags.trace_sample)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--log-sim-time") == 0) {
-      flags.log_sim_time = true;
-    } else if (ParseFlag(argv[i], "--scrape-interval-s", &value)) {
-      if (!ParseDuration("--scrape-interval-s", value, Seconds(1), &flags.scrape_interval,
-                         /*above=*/true)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--timeline-json", &flags.timeline_json)) {
-    } else if (ParseFlag(argv[i], "--slo", &value)) {
-      std::string text = value;
-      if (!text.empty() && text[0] == '@') {
-        text.clear();
-        if (!ReadFile(value.substr(1), &text)) {
-          return 1;
-        }
-      }
-      std::string error;
-      if (!obs::ParseSloSpecs(text, &flags.slo_specs, &error)) {
-        std::fprintf(stderr, "--slo: %s\n", error.c_str());
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--health-json", &flags.health_json)) {
-    } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
-      flags.flight_capacity = 4096;
-    } else if (ParseFlag(argv[i], "--flight-recorder", &value)) {
-      if (!ParseNumber("--flight-recorder", value, std::size_t{1}, &flags.flight_capacity)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--flight-json", &flags.flight_json)) {
-    } else if (ParseFlag(argv[i], "--dump-on-assert", &flags.dump_on_assert)) {
-    } else if (ParseFlag(argv[i], "--inject-breach-at", &value)) {
-      if (!ParseDuration("--inject-breach-at", value, Seconds(1), &flags.inject_breach_at)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--fault-plan", &value)) {
-      std::string body;
-      if (!ReadFile(value, &body)) {
-        return 1;
-      }
-      const auto plan = fault::ParseFaultPlanJson(body);
-      if (!plan.ok()) {
-        std::fprintf(stderr, "--fault-plan=%s: %s\n", value.c_str(),
-                     plan.status().message().c_str());
-        return 1;
-      }
-      for (const fault::FaultEvent& event : plan->events) {
-        flags.fault_plan.events.push_back(event);
-      }
-    } else if (ParseFlag(argv[i], "--crash-node-at", &value)) {
-      fault::FaultEvent event;
-      if (!ParseCrashNodeAt(value, &event)) {
-        return 1;
-      }
-      flags.fault_plan.events.push_back(event);
-    } else if (ParseFlag(argv[i], "--scrub-interval-s", &value)) {
-      if (!ParseDuration("--scrub-interval-s", value, Seconds(1), &flags.scrub_interval,
-                         /*above=*/true)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--queue-limit", &value)) {
-      if (!ParseNumber("--queue-limit", value, std::size_t{0}, &flags.queue_limit)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--queue-deadline-s", &value)) {
-      if (!ParseDuration("--queue-deadline-s", value, Seconds(1), &flags.queue_deadline)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--max-concurrency", &value)) {
-      if (!ParseNumber("--max-concurrency", value, 0, &flags.max_concurrency)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--breaker-threshold", &value)) {
-      if (!ParseNumber("--breaker-threshold", value, 0, &flags.breaker_threshold)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--breaker-open-s", &value)) {
-      if (!ParseDuration("--breaker-open-s", value, Seconds(1), &flags.breaker_open)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--breaker-probes", &value)) {
-      if (!ParseNumber("--breaker-probes", value, 1, &flags.breaker_probes)) {
-        return 1;
-      }
-    } else if (ParseFlag(argv[i], "--breaker-slo-ms", &value)) {
-      if (!ParseDuration("--breaker-slo-ms", value, Millis(1), &flags.breaker_slo)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      flags.progress = true;
-    } else if (ParseFlag(argv[i], "--max-events", &value)) {
-      if (!ParseNumber("--max-events", value, std::uint64_t{1}, &flags.max_events)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--selfcheck-determinism") == 0) {
-      flags.selfcheck = true;
-    } else if (std::strcmp(argv[i], "--selfcheck-perturb") == 0) {
-      flags.selfcheck = true;
-      flags.selfcheck_perturb = true;
-    } else {
-      return Usage();
-    }
+  if (!ParseFlags(argc, argv, FlagTable(&flags), Catalog())) {
+    return 2;
   }
   if (flags.functions.empty() && flags.pipelines.empty()) {
     flags.functions = {"wand_blur", "wand_sepia", "wand_edge"};
   }
   flags.fault_plan.Sort();
 
-  if (flags.selfcheck) {
+  if (flags.selfcheck || flags.selfcheck_perturb) {
     return RunSelfcheck(flags);
   }
   RunOutcome outcome;
