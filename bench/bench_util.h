@@ -15,21 +15,16 @@
 #include "src/common/units.h"
 #include "src/obs/export_util.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace ofc::bench {
 
 // Observability export flags shared by the bench binaries. Any bench that
-// threads a MetricsRegistry/TraceRecorder through its runs can accept
-//   --metrics-json=PATH --metrics-csv=PATH --trace-json=PATH --trace-sample=N
+// threads a MetricsRegistry through its runs can accept
+//   --metrics-json=PATH --metrics-csv=PATH
 // and dump machine-readable snapshots next to its textual table.
 struct ObsFlags {
   std::string metrics_json;
   std::string metrics_csv;
-  std::string trace_json;
-  std::uint64_t trace_sample = 1;
-
-  bool TraceRequested() const { return !trace_json.empty(); }
 };
 
 // The flag rows that bind `flags`.
@@ -39,19 +34,12 @@ inline std::vector<FlagRow> ObsFlagRows(ObsFlags* flags) {
        PathFlag(&flags->metrics_json)},
       {"Observability", "--metrics-csv=PATH", "Write the final metrics snapshot as CSV.",
        PathFlag(&flags->metrics_csv)},
-      {"Observability", "--trace-json=PATH",
-       "Write the Chrome trace-event JSON of a bench that records one.",
-       PathFlag(&flags->trace_json)},
-      {"Observability", "--trace-sample=N",
-       "With --trace-json: record every Nth invocation id (default 1 = all).",
-       NumberFlag(&flags->trace_sample, 1)},
   };
 }
 
 // Writes the requested snapshots; unset paths are skipped. False (after naming
 // the path on stderr) when a write fails.
-inline bool ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics,
-                      const obs::TraceRecorder* trace, SimTime now) {
+inline bool ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics, SimTime now) {
   bool ok = true;
   auto write = [&ok](const std::string& path, const std::string& body) {
     if (!obs::WriteTextFile(path, body)) {
@@ -64,11 +52,6 @@ inline bool ExportObs(const ObsFlags& flags, const obs::MetricsRegistry& metrics
   }
   if (!flags.metrics_csv.empty()) {
     write(flags.metrics_csv, metrics.SnapshotCsv(now));
-  }
-  if (!flags.trace_json.empty() && trace != nullptr) {
-    write(flags.trace_json, trace->ToJson());
-    std::printf("trace: %zu events (%zu dropped) -> %s\n", trace->num_events(),
-                trace->num_dropped(), flags.trace_json.c_str());
   }
   return ok;
 }

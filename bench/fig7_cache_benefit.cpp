@@ -96,7 +96,10 @@ void Pipelines() {
 }  // namespace
 }  // namespace ofc
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ofc::ParseFlags(argc, argv, {})) {
+    return 2;
+  }
   ofc::bench::Banner(
       "End-to-end ETL durations under OWK-Swift / OWK-Redis / OFC-{LH,M,RH}",
       "Figure 7 (§7.2.1)");

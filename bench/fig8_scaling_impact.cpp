@@ -200,7 +200,10 @@ void MigrationTimes() {
 }  // namespace
 }  // namespace ofc
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ofc::ParseFlags(argc, argv, {})) {
+    return 2;
+  }
   ofc::ScalingImpact();
   ofc::MigrationTimes();
   return 0;

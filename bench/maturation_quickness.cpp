@@ -62,7 +62,10 @@ void Run() {
 }  // namespace
 }  // namespace ofc
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ofc::ParseFlags(argc, argv, {})) {
+    return 2;
+  }
   ofc::Run();
   return 0;
 }

@@ -103,7 +103,10 @@ void BenefitAccuracy() {
 }  // namespace
 }  // namespace ofc
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ofc::ParseFlags(argc, argv, {})) {
+    return 2;
+  }
   ofc::MemoryAccuracy();
   ofc::BenefitAccuracy();
   return 0;

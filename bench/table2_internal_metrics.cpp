@@ -108,7 +108,7 @@ bool Run(const bench::ObsFlags& obs_flags) {
       "failed invocations, hit ratio 93-99%% (naive highest).\n");
 
   const bench::MacroResult& last = results.back();
-  return bench::ExportObs(obs_flags, *last.metrics, /*trace=*/nullptr, last.end_time);
+  return bench::ExportObs(obs_flags, *last.metrics, last.end_time);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "src/ramcloud/cluster.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/common/logging.h"
 
@@ -60,31 +61,108 @@ Bytes Cluster::FreeMemory(int node) const {
   return std::max<Bytes>(0, stats.memory_capacity - logs_[node].footprint());
 }
 
-Result<std::pair<int, SegmentedLog::EntryId>> Cluster::PlaceInLog(
-    int prefer, Bytes size, SimDuration* cleaning_cost) {
-  // Candidate order: preferred node first, then by free memory descending.
-  std::vector<int> candidates;
-  if (prefer >= 0 && prefer < num_nodes() && nodes_[prefer].alive) {
-    candidates.push_back(prefer);
-  }
-  std::vector<int> rest;
-  for (int n = 0; n < num_nodes(); ++n) {
-    if (n != prefer && nodes_[n].alive) {
-      rest.push_back(n);
-    }
-  }
-  std::sort(rest.begin(), rest.end(),
-            [&](int a, int b) { return FreeMemory(a) > FreeMemory(b); });
-  candidates.insert(candidates.end(), rest.begin(), rest.end());
-
+Cluster::Placement Cluster::AppendToFirst(const std::vector<int>& candidates, Bytes size,
+                                          SimDuration* cleaning_cost) {
   for (int node : candidates) {
+    if (!nodes_[node].alive) {
+      continue;
+    }
     auto entry = logs_[node].Append(size, nodes_[node].memory_capacity, cleaning_cost);
     if (entry.ok()) {
       SyncUsed(node);
-      return std::make_pair(node, *entry);
+      return Placement{node, *entry};
     }
   }
-  return ResourceExhaustedError("no node has cache capacity");
+  return Placement{};
+}
+
+std::vector<int> Cluster::WriteOrder(int prefer) const {
+  std::vector<int> candidates;
+  for (int n = 0; n < num_nodes(); ++n) {
+    if (n != prefer && nodes_[n].alive) {
+      candidates.push_back(n);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [&](int a, int b) { return FreeMemory(a) > FreeMemory(b); });
+  if (prefer >= 0 && prefer < num_nodes() && nodes_[prefer].alive) {
+    candidates.insert(candidates.begin(), prefer);
+  }
+  return candidates;
+}
+
+std::vector<int> Cluster::PromotionOrder(const CachedObject& obj, Checksum expected) const {
+  std::vector<std::size_t> order(obj.backups.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const bool healthy_a = obj.backup_checksums[a] == expected;
+    const bool healthy_b = obj.backup_checksums[b] == expected;
+    if (healthy_a != healthy_b) {
+      return healthy_a;
+    }
+    return FreeMemory(obj.backups[a]) > FreeMemory(obj.backups[b]);
+  });
+  std::vector<int> nodes;
+  for (std::size_t i : order) {
+    nodes.push_back(obj.backups[i]);
+  }
+  return nodes;
+}
+
+std::size_t Cluster::SlotOf(const CachedObject& obj, int node) {
+  return static_cast<std::size_t>(
+      std::distance(obj.backups.begin(), std::find(obj.backups.begin(), obj.backups.end(), node)));
+}
+
+bool Cluster::HasHealthyBackup(const CachedObject& obj, Checksum expected) const {
+  for (std::size_t i = 0; i < obj.backups.size(); ++i) {
+    if (nodes_[obj.backups[i]].alive && obj.backup_checksums[i] == expected) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Cluster::AddBackup(CachedObject& obj, int node, Checksum copy) {
+  obj.backups.push_back(node);
+  obj.backup_checksums.push_back(copy);
+  nodes_[node].disk_used += obj.size;
+}
+
+void Cluster::EraseBackup(CachedObject& obj, std::size_t slot) {
+  nodes_[obj.backups[slot]].disk_used -= obj.size;
+  obj.backups.erase(obj.backups.begin() + static_cast<std::ptrdiff_t>(slot));
+  obj.backup_checksums.erase(obj.backup_checksums.begin() + static_cast<std::ptrdiff_t>(slot));
+}
+
+int Cluster::AddFreshBackup(CachedObject& obj, Checksum copy) {
+  for (int candidate : PickBackups(obj.master, num_nodes())) {
+    if (SlotOf(obj, candidate) == obj.backups.size()) {
+      AddBackup(obj, candidate, copy);
+      return candidate;
+    }
+  }
+  return -1;  // Not enough distinct alive nodes.
+}
+
+int Cluster::MoveBackupOff(CachedObject& obj, int node, Checksum copy) {
+  const std::size_t slot = SlotOf(obj, node);
+  if (slot == obj.backups.size()) {
+    return -1;
+  }
+  EraseBackup(obj, slot);
+  return AddFreshBackup(obj, copy);
+}
+
+void Cluster::DropObject(ObjectMap::iterator it) {
+  const CachedObject& obj = it->second;
+  (void)logs_[obj.master].Free(obj.log_entry);
+  SyncUsed(obj.master);
+  for (int b : obj.backups) {
+    nodes_[b].disk_used -= obj.size;
+    SIM_ASSERT(nodes_[b].disk_used >= 0) << "; backup disk accounting underflow on node " << b;
+  }
+  objects_.erase(it);
 }
 
 std::vector<int> Cluster::PickBackups(int master, int count) const {
@@ -114,24 +192,17 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
   int prefer = client_node;
   auto it = objects_.find(key);
   if (it != objects_.end()) {
-    const CachedObject& existing = it->second;
-    prefer = existing.master;
-    (void)logs_[existing.master].Free(existing.log_entry);
-    SyncUsed(existing.master);
-    for (int b : existing.backups) {
-      nodes_[b].disk_used -= existing.size;
-      SIM_ASSERT(nodes_[b].disk_used >= 0) << "; backup disk accounting underflow on node " << b;
-    }
-    objects_.erase(it);
+    prefer = it->second.master;
+    DropObject(it);
   }
 
   SimDuration cleaning_cost = 0;
-  const auto placement = PlaceInLog(prefer, size, &cleaning_cost);
-  if (!placement.ok()) {
+  const Placement placement = AppendToFirst(WriteOrder(prefer), size, &cleaning_cost);
+  if (placement.node < 0) {
     ++*m_.write_rejects;
-    return placement.status();
+    return ResourceExhaustedError("no node has cache capacity");
   }
-  const int master = placement->first;
+  const int master = placement.node;
 
   CachedObject obj;
   obj.key = key;
@@ -143,21 +214,18 @@ Status Cluster::ApplyWrite(int client_node, const std::string& key, Bytes size,
   obj.created_at = loop_->now();
   obj.last_access = loop_->now();
   obj.master = master;
-  obj.log_entry = placement->second;
-  obj.backups = PickBackups(master, options_.replication_factor);
-  for (int b : obj.backups) {
-    nodes_[b].disk_used += size;
-  }
+  obj.log_entry = placement.entry;
   // Stamp the stored checksum: the caller's fingerprint (proxy edge) when one
   // was carried through, else derived here. Every replica starts healthy.
   if (fingerprint == 0) {
     fingerprint = PayloadFingerprint(key, size);
   }
   obj.checksum = StampChecksum(fingerprint, version);
-  obj.backup_checksums.assign(obj.backups.size(), obj.checksum);
+  for (int b : PickBackups(master, options_.replication_factor)) {
+    AddBackup(obj, b, obj.checksum);
+  }
   objects_.emplace(key, obj);
   ++*m_.writes;
-  ++nodes_[master].writes_served;
 
   // Master write + parallel replication to backup durable buffers, plus any
   // cleaner pass the append triggered.
@@ -206,7 +274,6 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
   } else {
     ++*m_.read_hits_remote;
   }
-  ++nodes_[obj.master].reads_served;
   SimDuration cost =
       (local ? options_.local_access : options_.remote_access).Cost(obj.size, &rng_);
 
@@ -217,24 +284,11 @@ void Cluster::Read(int client_node, const std::string& key, ReadCallback done) {
   const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
   if (obj.checksum != expected) {
     NoteCorruption(key, obj.master, "read_master");
-    int healthy = -1;
-    for (std::size_t i = 0; i < obj.backups.size(); ++i) {
-      if (nodes_[static_cast<std::size_t>(obj.backups[i])].alive &&
-          obj.backup_checksums[i] == expected) {
-        healthy = static_cast<int>(i);
-        break;
-      }
-    }
-    if (healthy < 0) {
+    if (!HasHealthyBackup(obj, expected)) {
       ++*m_.read_data_loss;
       // Drop the object everywhere: a re-fetch from the RSDS re-admits a good
       // copy, which is the repair path when no replica survives.
-      (void)logs_[obj.master].Free(obj.log_entry);
-      SyncUsed(obj.master);
-      for (int b : obj.backups) {
-        nodes_[b].disk_used -= obj.size;
-      }
-      objects_.erase(it);
+      DropObject(it);
       loop_->ScheduleAfter(cost, [done = std::move(done), key] {
         done(DataLossError("all copies corrupt: " + key));
       });
@@ -291,13 +345,7 @@ Status Cluster::Remove(const std::string& key) {
   if (it == objects_.end()) {
     return NotFoundError("remove: " + key);
   }
-  const CachedObject& obj = it->second;
-  (void)logs_[obj.master].Free(obj.log_entry);
-  SyncUsed(obj.master);
-  for (int b : obj.backups) {
-    nodes_[b].disk_used -= obj.size;
-  }
-  objects_.erase(it);
+  DropObject(it);
   ++*m_.evictions;
   return OkStatus();
 }
@@ -343,40 +391,26 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   std::vector<int> order = obj.backups;
   std::sort(order.begin(), order.end(),
             [&](int a, int b) { return FreeMemory(a) > FreeMemory(b); });
-  int new_master = -1;
-  SegmentedLog::EntryId new_entry = 0;
   SimDuration cleaning_cost = 0;
-  for (int b : order) {
-    if (!nodes_[b].alive) {
-      continue;
-    }
-    auto entry = logs_[b].Append(obj.size, nodes_[b].memory_capacity, &cleaning_cost);
-    if (entry.ok()) {
-      new_master = b;
-      new_entry = *entry;
-      break;
-    }
-  }
-  if (new_master < 0) {
+  const Placement to = AppendToFirst(order, obj.size, &cleaning_cost);
+  if (to.node < 0) {
     return ResourceExhaustedError("no backup can host the master copy: " + key);
   }
+  const int new_master = to.node;
   const int old_master = obj.master;
   // The new master already holds an on-disk replica: it loads the object from
   // local disk. The old master demotes to backup, keeping an on-disk copy —
   // replication factor is preserved with zero inter-node transfer (§6.4).
   (void)logs_[old_master].Free(obj.log_entry);
   SyncUsed(old_master);
-  SyncUsed(new_master);
   nodes_[new_master].disk_used -= obj.size;
   nodes_[old_master].disk_used += obj.size;
   // Checksums ride the role swap: the new master adopts the checksum its disk
   // replica stored, verified on load — a rotted replica is repaired from the
   // (still alive, still healthy) old master's copy before promotion. The old
   // master's copy becomes the backup copy in that slot.
-  const auto slot = std::find(obj.backups.begin(), obj.backups.end(), new_master);
-  SIM_ASSERT(slot != obj.backups.end()) << "; migrate target is not a backup";
-  const std::size_t slot_idx =
-      static_cast<std::size_t>(std::distance(obj.backups.begin(), slot));
+  const std::size_t slot_idx = SlotOf(obj, new_master);
+  SIM_ASSERT(slot_idx < obj.backups.size()) << "; migrate target is not a backup";
   Checksum promoted = obj.backup_checksums[slot_idx];
   const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
   if (promoted != expected) {
@@ -391,7 +425,7 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   obj.checksum = promoted;
   std::replace(obj.backups.begin(), obj.backups.end(), new_master, old_master);
   obj.master = new_master;
-  obj.log_entry = new_entry;
+  obj.log_entry = to.entry;
   ++*m_.migrations;
 
   MigrationResult result;
@@ -403,24 +437,54 @@ Result<MigrationResult> Cluster::MigrateMaster(const std::string& key) {
   return result;
 }
 
+void Cluster::TakeOffline(int node) {
+  nodes_[node].alive = false;
+  logs_[node] = SegmentedLog(options_.log);
+  nodes_[node].memory_used = 0;
+}
+
+void Cluster::Promote(CachedObject& obj, Placement to, Checksum checksum, Recovery* recovery) {
+  EraseBackup(obj, SlotOf(obj, to.node));
+  obj.master = to.node;
+  obj.checksum = checksum;
+  obj.log_entry = to.entry;
+  recovery->per_node_load[static_cast<std::size_t>(to.node)] +=
+      options_.disk_read.Cost(obj.size, &rng_);
+  ++recovery->result.objects_recovered;
+  // Restore the replication factor: the promotion consumed one on-disk copy,
+  // so the coordinator re-replicates the new master's copy to fresh backups.
+  while (static_cast<int>(obj.backups.size()) < options_.replication_factor &&
+         AddFreshBackup(obj, obj.checksum) >= 0) {
+  }
+}
+
+RecoveryResult Cluster::FinishRecovery(Recovery& recovery) {
+  for (const std::string& key : recovery.lost) {
+    DropObject(objects_.find(key));
+  }
+  RecoveryResult& result = recovery.result;
+  result.objects_lost = recovery.lost.size();
+  // Makespan of the parallel partitioned reload.
+  for (SimDuration d : recovery.per_node_load) {
+    result.duration = std::max(result.duration, d);
+  }
+  m_.objects_recovered->Add(result.objects_recovered);
+  m_.objects_lost->Add(result.objects_lost);
+  m_.recovery_ms->Observe(ToMillis(result.duration));
+  return result;
+}
+
 RecoveryResult Cluster::CrashNode(int node) {
-  NodeStats& crashed = nodes_[CheckNode(node)];
-  if (!crashed.alive) {
+  if (!nodes_[CheckNode(node)].alive) {
     return RecoveryResult{};  // Already down: nothing left to lose or recover.
   }
-  crashed.alive = false;
   ++*m_.node_crashes;
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kNodeCrash, 0, 0, node);
   }
-  // The crashed node's DRAM contents are gone.
-  logs_[node] = SegmentedLog(options_.log);
-  crashed.memory_used = 0;
+  TakeOffline(node);  // The crashed node's DRAM contents are gone.
 
-  RecoveryResult result;
-  std::vector<SimDuration> per_node_load(nodes_.size(), 0);
-
-  std::vector<std::string> to_drop;
+  Recovery recovery(nodes_.size());
   for (auto& [key, obj] : objects_) {
     if (obj.master == node) {
       // Promote a surviving backup (partitioned recovery: spread by free mem).
@@ -428,116 +492,28 @@ RecoveryResult Cluster::CrashNode(int node) {
       // are preferred, and a corrupt promotion repairs from any surviving
       // healthy copy before new replicas are cut from it.
       const Checksum expected = ExpectedChecksum(obj.key, obj.size, obj.version);
-      std::vector<std::size_t> order(obj.backups.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-      }
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const bool healthy_a = obj.backup_checksums[a] == expected;
-        const bool healthy_b = obj.backup_checksums[b] == expected;
-        if (healthy_a != healthy_b) {
-          return healthy_a;
-        }
-        return FreeMemory(obj.backups[a]) > FreeMemory(obj.backups[b]);
-      });
-      int new_master = -1;
-      std::size_t promoted_idx = 0;
-      SegmentedLog::EntryId new_entry = 0;
-      for (std::size_t i : order) {
-        const int b = obj.backups[i];
-        if (!nodes_[b].alive) {
-          continue;
-        }
-        auto entry = logs_[b].Append(obj.size, nodes_[b].memory_capacity, nullptr);
-        if (entry.ok()) {
-          new_master = b;
-          promoted_idx = i;
-          new_entry = *entry;
-          break;
-        }
-      }
-      if (new_master < 0) {
-        to_drop.push_back(key);
-        ++result.objects_lost;
+      const Placement to = AppendToFirst(PromotionOrder(obj, expected), obj.size, nullptr);
+      if (to.node < 0) {
+        recovery.lost.push_back(key);
         continue;
       }
-      Checksum promoted = obj.backup_checksums[promoted_idx];
+      Checksum promoted = obj.backup_checksums[SlotOf(obj, to.node)];
       if (promoted != expected) {
-        NoteCorruption(key, new_master, "recovery_load");
+        NoteCorruption(key, to.node, "recovery_load");
         // Only corrupt copies could host; repair from any healthy survivor
         // (a copy that lost the capacity race still has good bits on disk).
-        for (std::size_t i = 0; i < obj.backups.size(); ++i) {
-          if (i != promoted_idx && nodes_[obj.backups[i]].alive &&
-              obj.backup_checksums[i] == expected) {
-            promoted = expected;
-            NoteRepair(key, new_master, "replica");
-            break;
-          }
+        if (HasHealthyBackup(obj, expected)) {
+          promoted = expected;
+          NoteRepair(key, to.node, "replica");
         }
       }
-      SyncUsed(new_master);
-      nodes_[new_master].disk_used -= obj.size;
-      obj.backups.erase(obj.backups.begin() + static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.backup_checksums.erase(obj.backup_checksums.begin() +
-                                 static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.master = new_master;
-      obj.checksum = promoted;
-      obj.log_entry = new_entry;
-      per_node_load[static_cast<std::size_t>(new_master)] +=
-          options_.disk_read.Cost(obj.size, &rng_);
-      ++result.objects_recovered;
-      // Restore the replication factor: the promotion consumed one on-disk
-      // copy, so the coordinator re-replicates to a fresh backup.
-      while (static_cast<int>(obj.backups.size()) < options_.replication_factor) {
-        int fresh = -1;
-        for (int candidate : PickBackups(obj.master, num_nodes())) {
-          if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-              obj.backups.end()) {
-            fresh = candidate;
-            break;
-          }
-        }
-        if (fresh < 0) {
-          break;  // Not enough distinct alive nodes.
-        }
-        obj.backups.push_back(fresh);
-        obj.backup_checksums.push_back(obj.checksum);
-        nodes_[fresh].disk_used += obj.size;
-      }
+      Promote(obj, to, promoted, &recovery);
     }
-    // Re-replicate backup copies that lived on the crashed node. The fresh
+    // Re-replicate a backup copy that lived on the crashed node. The fresh
     // copy is cut from the master's (verified-at-promotion) copy.
-    auto backup_it = std::find(obj.backups.begin(), obj.backups.end(), node);
-    if (backup_it != obj.backups.end()) {
-      const std::ptrdiff_t idx = std::distance(obj.backups.begin(), backup_it);
-      obj.backups.erase(backup_it);
-      obj.backup_checksums.erase(obj.backup_checksums.begin() + idx);
-      nodes_[node].disk_used -= obj.size;
-      for (int candidate : PickBackups(obj.master, num_nodes())) {
-        if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-            obj.backups.end()) {
-          obj.backups.push_back(candidate);
-          obj.backup_checksums.push_back(obj.checksum);
-          nodes_[candidate].disk_used += obj.size;
-          break;
-        }
-      }
-    }
+    MoveBackupOff(obj, node, obj.checksum);
   }
-  for (const std::string& key : to_drop) {
-    auto it = objects_.find(key);
-    for (int b : it->second.backups) {
-      nodes_[b].disk_used -= it->second.size;
-    }
-    objects_.erase(it);
-  }
-  // Makespan of the parallel partitioned reload.
-  for (SimDuration d : per_node_load) {
-    result.duration = std::max(result.duration, d);
-  }
-  m_.objects_recovered->Add(result.objects_recovered);
-  m_.objects_lost->Add(result.objects_lost);
-  m_.recovery_ms->Observe(ToMillis(result.duration));
+  const RecoveryResult result = FinishRecovery(recovery);
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kNodeRecovered, 0, 0, node, "",
                     std::to_string(result.objects_recovered) + "_recovered_" +
@@ -560,14 +536,9 @@ void Cluster::RestartNode(int node) {
   // with fewer than rf alive peers they stayed under-replicated. The restarted
   // node's disk is empty but writable, so the coordinator re-replicates onto it.
   for (auto& [key, obj] : objects_) {
-    if (obj.master == node ||
-        std::find(obj.backups.begin(), obj.backups.end(), node) != obj.backups.end()) {
-      continue;
-    }
-    if (static_cast<int>(obj.backups.size()) < options_.replication_factor) {
-      obj.backups.push_back(node);
-      obj.backup_checksums.push_back(obj.checksum);  // Fresh copy from the master.
-      nodes_[node].disk_used += obj.size;
+    if (obj.master != node && SlotOf(obj, node) == obj.backups.size() &&
+        static_cast<int>(obj.backups.size()) < options_.replication_factor) {
+      AddBackup(obj, node, obj.checksum);  // Fresh copy from the master.
     }
   }
 }
@@ -581,13 +552,11 @@ int Cluster::CorruptReplica(int node, int flips) {
     if (corrupted >= flips) {
       break;
     }
-    const Checksum expected = ExpectedChecksum(key, obj.size, obj.version);
-    for (std::size_t i = 0; i < obj.backups.size(); ++i) {
-      if (obj.backups[i] == node && obj.backup_checksums[i] == expected) {
-        obj.backup_checksums[i] = CorruptChecksum(obj.backup_checksums[i]);
-        ++corrupted;
-        break;
-      }
+    const std::size_t slot = SlotOf(obj, node);
+    if (slot < obj.backups.size() &&
+        obj.backup_checksums[slot] == ExpectedChecksum(key, obj.size, obj.version)) {
+      obj.backup_checksums[slot] = CorruptChecksum(obj.backup_checksums[slot]);
+      ++corrupted;
     }
   }
   return corrupted;
@@ -654,139 +623,48 @@ std::vector<std::string> Cluster::KeysAfter(const std::string& after,
 }
 
 RecoveryResult Cluster::QuarantineNode(int node) {
-  NodeStats& stats = nodes_[CheckNode(node)];
-  if (!stats.alive || AliveNodes() <= 1) {
+  if (!nodes_[CheckNode(node)].alive || AliveNodes() <= 1) {
     return RecoveryResult{};  // Already down, or nowhere to drain to.
   }
-  // Mark the node dead first so placement/backup selection excludes it; unlike
-  // a crash its copies remain readable for the drain below.
-  stats.alive = false;
   ++*m_.nodes_quarantined;
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kNodeQuarantined, 0, 0, node);
   }
+  // Placement and backup selection exclude the node from here on, and its log
+  // is emptied so a later RestartNode brings it back clean. Unlike a crash,
+  // every copy is verified against the RSDS on the way out, so each new
+  // master and each new backup starts healthy.
+  TakeOffline(node);
 
-  RecoveryResult result;
-  std::vector<SimDuration> per_node_load(nodes_.size(), 0);
-  std::vector<std::string> to_drop;
+  Recovery recovery(nodes_.size());
   for (auto& [key, obj] : objects_) {
     const Checksum expected = ExpectedChecksum(key, obj.size, obj.version);
     if (obj.master == node) {
-      // Re-master onto a backup (its disk already holds a copy). The drain
-      // verifies whatever it loads against the RSDS, so — unlike crash
-      // recovery — the new master always starts healthy.
-      std::vector<std::size_t> order(obj.backups.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-      }
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const bool healthy_a = obj.backup_checksums[a] == expected;
-        const bool healthy_b = obj.backup_checksums[b] == expected;
-        if (healthy_a != healthy_b) {
-          return healthy_a;
-        }
-        return FreeMemory(obj.backups[a]) > FreeMemory(obj.backups[b]);
-      });
-      int new_master = -1;
-      std::size_t promoted_idx = 0;
-      SegmentedLog::EntryId new_entry = 0;
-      for (std::size_t i : order) {
-        const int b = obj.backups[i];
-        if (!nodes_[b].alive) {
-          continue;
-        }
-        auto entry = logs_[b].Append(obj.size, nodes_[b].memory_capacity, nullptr);
-        if (entry.ok()) {
-          new_master = b;
-          promoted_idx = i;
-          new_entry = *entry;
-          break;
-        }
-      }
-      if (new_master < 0) {
-        to_drop.push_back(key);
-        ++result.objects_lost;
+      // Re-master onto a backup (its disk already holds a copy).
+      const Placement to = AppendToFirst(PromotionOrder(obj, expected), obj.size, nullptr);
+      if (to.node < 0) {
+        recovery.lost.push_back(key);
         continue;
       }
-      if (obj.backup_checksums[promoted_idx] != expected) {
-        NoteCorruption(key, new_master, "quarantine_drain");
-        NoteRepair(key, new_master, "rsds");
+      if (obj.backup_checksums[SlotOf(obj, to.node)] != expected) {
+        NoteCorruption(key, to.node, "quarantine_drain");
+        NoteRepair(key, to.node, "rsds");
       }
-      (void)logs_[node].Free(obj.log_entry);
-      SyncUsed(node);
-      SyncUsed(new_master);
-      nodes_[new_master].disk_used -= obj.size;
-      obj.backups.erase(obj.backups.begin() + static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.backup_checksums.erase(obj.backup_checksums.begin() +
-                                 static_cast<std::ptrdiff_t>(promoted_idx));
-      obj.master = new_master;
-      obj.checksum = expected;
-      obj.log_entry = new_entry;
-      per_node_load[static_cast<std::size_t>(new_master)] +=
-          options_.disk_read.Cost(obj.size, &rng_);
-      ++result.objects_recovered;
-      while (static_cast<int>(obj.backups.size()) < options_.replication_factor) {
-        int fresh = -1;
-        for (int candidate : PickBackups(obj.master, num_nodes())) {
-          if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-              obj.backups.end()) {
-            fresh = candidate;
-            break;
-          }
-        }
-        if (fresh < 0) {
-          break;  // Not enough distinct alive nodes.
-        }
-        obj.backups.push_back(fresh);
-        obj.backup_checksums.push_back(expected);
-        nodes_[fresh].disk_used += obj.size;
-      }
+      Promote(obj, to, expected, &recovery);
     }
-    // Evacuate backup copies off the quarantined node; the replacement copy is
-    // verified against the RSDS, so a rotted copy is repaired on the way out.
-    auto backup_it = std::find(obj.backups.begin(), obj.backups.end(), node);
-    if (backup_it != obj.backups.end()) {
-      const std::ptrdiff_t idx = std::distance(obj.backups.begin(), backup_it);
-      const bool was_corrupt =
-          obj.backup_checksums[static_cast<std::size_t>(idx)] != expected;
-      obj.backups.erase(backup_it);
-      obj.backup_checksums.erase(obj.backup_checksums.begin() + idx);
-      nodes_[node].disk_used -= obj.size;
-      if (was_corrupt) {
-        NoteCorruption(key, node, "quarantine_drain");
-      }
-      for (int candidate : PickBackups(obj.master, num_nodes())) {
-        if (std::find(obj.backups.begin(), obj.backups.end(), candidate) ==
-            obj.backups.end()) {
-          obj.backups.push_back(candidate);
-          obj.backup_checksums.push_back(expected);
-          nodes_[candidate].disk_used += obj.size;
-          if (was_corrupt) {
-            NoteRepair(key, candidate, "rsds");
-          }
-          break;
-        }
+    // Evacuate a backup copy off the quarantined node; a rotted copy is
+    // repaired on the way out.
+    const std::size_t slot = SlotOf(obj, node);
+    const bool was_corrupt = slot < obj.backups.size() && obj.backup_checksums[slot] != expected;
+    const int fresh = MoveBackupOff(obj, node, expected);
+    if (was_corrupt) {
+      NoteCorruption(key, node, "quarantine_drain");
+      if (fresh >= 0) {
+        NoteRepair(key, fresh, "rsds");
       }
     }
   }
-  for (const std::string& key : to_drop) {
-    auto it = objects_.find(key);
-    for (int b : it->second.backups) {
-      nodes_[b].disk_used -= it->second.size;
-    }
-    objects_.erase(it);
-  }
-  // The drain emptied the node's DRAM; reset the log so a later RestartNode
-  // brings it back clean, mirroring crash recovery.
-  logs_[node] = SegmentedLog(options_.log);
-  stats.memory_used = 0;
-  for (SimDuration d : per_node_load) {
-    result.duration = std::max(result.duration, d);
-  }
-  m_.objects_recovered->Add(result.objects_recovered);
-  m_.objects_lost->Add(result.objects_lost);
-  m_.recovery_ms->Observe(ToMillis(result.duration));
-  return result;
+  return FinishRecovery(recovery);
 }
 
 int Cluster::AliveNodes() const {

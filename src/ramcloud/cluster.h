@@ -95,8 +95,6 @@ struct NodeStats {
   Bytes memory_used = 0;
   Bytes disk_used = 0;
   bool alive = true;
-  std::uint64_t reads_served = 0;
-  std::uint64_t writes_served = 0;
 };
 
 struct MigrationResult {
@@ -276,11 +274,46 @@ class Cluster {
 
  private:
   int CheckNode(int node) const;
-  // Appends `size` bytes into some node's log, preferring `prefer` then the
-  // node with the most free memory. Returns (node, entry) or an error; adds
-  // cleaning time into `*cleaning_cost`.
-  Result<std::pair<int, SegmentedLog::EntryId>> PlaceInLog(int prefer, Bytes size,
-                                                           SimDuration* cleaning_cost);
+
+  // Object lifecycle primitives: writes, migration, crash recovery and the
+  // quarantine drain are built from these.
+  using ObjectMap = std::map<std::string, CachedObject>;
+  struct Placement {
+    int node = -1;  // -1: no candidate had room.
+    SegmentedLog::EntryId entry = 0;
+  };
+  // Appends `size` bytes to the log of the first alive candidate with room;
+  // adds any cleaning time into `*cleaning_cost` (nullable).
+  Placement AppendToFirst(const std::vector<int>& candidates, Bytes size,
+                          SimDuration* cleaning_cost);
+  // Candidate orders: a write tries `prefer`, then the most free memory; a
+  // promotion tries backups matching `expected`, then the most free memory.
+  std::vector<int> WriteOrder(int prefer) const;
+  std::vector<int> PromotionOrder(const CachedObject& obj, Checksum expected) const;
+  bool HasHealthyBackup(const CachedObject& obj, Checksum expected) const;
+  // Index of `node` in `obj.backups`; `obj.backups.size()` when absent.
+  static std::size_t SlotOf(const CachedObject& obj, int node);
+  // A backup copy and its disk bookkeeping.
+  void AddBackup(CachedObject& obj, int node, Checksum copy);
+  void EraseBackup(CachedObject& obj, std::size_t slot);
+  // Copies `obj` stamped `copy` to the least-loaded alive node without one;
+  // returns that node, or -1. MoveBackupOff first drops the copy on `node`
+  // (returning -1 when there is none).
+  int AddFreshBackup(CachedObject& obj, Checksum copy);
+  int MoveBackupOff(CachedObject& obj, int node, Checksum copy);
+  void DropObject(ObjectMap::iterator it);
+  void TakeOffline(int node);  // Marks `node` dead and empties its DRAM.
+  // One crash recovery or quarantine drain: Promote installs the backup at
+  // `to` as master with `checksum`, counts its disk reload and restores the
+  // replication factor; FinishRecovery drops the lost keys and records it.
+  struct Recovery {
+    explicit Recovery(std::size_t nodes) : per_node_load(nodes, 0) {}
+    RecoveryResult result;
+    std::vector<SimDuration> per_node_load;  // Disk reload time per new master.
+    std::vector<std::string> lost;           // Keys no backup could host.
+  };
+  void Promote(CachedObject& obj, Placement to, Checksum checksum, Recovery* recovery);
+  RecoveryResult FinishRecovery(Recovery& recovery);
   // Picks `count` backup nodes distinct from `master`, least-loaded-disk first.
   std::vector<int> PickBackups(int master, int count) const;
   void SyncUsed(int node) {
@@ -316,7 +349,7 @@ class Cluster {
   // Ordered: CrashNode() recovery and KeysOn() iterate this map and their
   // visit order is event-visible (log packing, eviction order), so it must be
   // independent of hashing.
-  std::map<std::string, CachedObject> objects_;
+  ObjectMap objects_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;

@@ -4,7 +4,9 @@
 //
 // A fixed scenario (seed 42, three tenants, five simulated minutes) runs
 // in-process and each artifact is compared byte-for-byte against
-// tests/testdata/goldens/. The simulator's determinism guarantee is what
+// tests/testdata/goldens/. A second, faulted scenario pins the RAMCloud
+// recovery paths (scrubber quarantine drain and crash recovery) through its
+// metrics snapshot and flight dump. The simulator's determinism guarantee is what
 // makes this sound: the selfcheck harness proves these artifacts are
 // byte-identical across replays, so any diff here is a real format or
 // behavior change — either a regression, or an intentional change that must
@@ -20,8 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/scrubber.h"
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
+#include "src/fault/fault_injector.h"
+#include "src/fault/fault_plan.h"
 #include "src/obs/slo.h"
 #include "src/obs/timeline.h"
 #include "src/sim/periodic.h"
@@ -103,6 +108,65 @@ const Artifacts& GoldenArtifacts() {
   return artifacts;
 }
 
+// The recovery scenario is the run `ofc-sim --duration-min=6
+// --scrub-interval-s=5 --fault-plan=PLAN` with PLAN
+// tests/testdata/fault_plans/valid/quarantine_and_crash.json
+// (ofc-sim's defaults: seed 42, four 16 GiB workers, three tenants every 30 s,
+// 1000 pretraining invocations). Repeated corruption makes the scrubber
+// quarantine nodes 0 and 1, then node 2 crashes, so both backup-promotion
+// paths run and their checksum policies, losses and recovery counts are pinned.
+Artifacts RunRecoveryScenario() {
+  faasload::EnvironmentOptions options;
+  options.platform.num_workers = 4;
+  options.platform.worker_memory = GiB(16);
+  options.seed = 42;
+  faasload::Environment env(faasload::Mode::kOfc, options);
+  env.flight().set_enabled(true);
+
+  faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, /*seed=*/43);
+  for (const char* function : {"wand_blur", "wand_sepia", "wand_edge"}) {
+    faasload::TenantSpec spec;
+    spec.name = std::string("t-") + function;
+    spec.function = function;
+    spec.mean_interval_s = 30.0;
+    EXPECT_TRUE(injector.AddTenant(spec).ok());
+  }
+
+  std::ifstream in(fs::path(OFC_TESTDATA_DIR) / "fault_plans" / "valid" /
+                   "quarantine_and_crash.json");
+  std::ostringstream body;
+  body << in.rdbuf();
+  auto plan = fault::ParseFaultPlanJson(body.str());
+  EXPECT_TRUE(plan.ok()) << plan.status().message();
+  plan->Sort();
+  fault::FaultInjector faults(
+      &env.loop(),
+      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
+                                  &env.ofc()->proxy()},
+      fault::FaultInjectorOptions{&env.metrics(), &env.flight()});
+  EXPECT_TRUE(faults.Schedule(*plan).ok());
+
+  core::ScrubberOptions scrub_options;
+  scrub_options.interval = Seconds(5);
+  scrub_options.metrics = &env.metrics();
+  core::Scrubber scrubber(&env.loop(), env.cluster(), &env.rsds(), scrub_options);
+  scrubber.Start();
+
+  injector.PretrainModels(1000);
+  injector.Run(Minutes(6));
+  scrubber.Stop();
+
+  Artifacts artifacts;
+  artifacts.metrics_json = env.metrics().SnapshotJson(env.loop().now());
+  artifacts.flight_json = env.flight().ToJson("recovery scenario end-of-run dump");
+  return artifacts;
+}
+
+const Artifacts& RecoveryArtifacts() {
+  static const Artifacts artifacts = RunRecoveryScenario();
+  return artifacts;
+}
+
 void CompareOrUpdate(const std::string& name, const std::string& actual) {
   const fs::path path = fs::path(OFC_TESTDATA_DIR) / "goldens" / name;
   if (UpdateMode()) {
@@ -154,6 +218,14 @@ TEST(GoldenTest, HealthJson) { CompareOrUpdate("health.json", GoldenArtifacts().
 TEST(GoldenTest, FlightJson) { CompareOrUpdate("flight.json", GoldenArtifacts().flight_json); }
 
 TEST(GoldenTest, TraceJson) { CompareOrUpdate("trace.json", GoldenArtifacts().trace_json); }
+
+TEST(GoldenTest, RecoveryMetricsJson) {
+  CompareOrUpdate("recovery_metrics.json", RecoveryArtifacts().metrics_json);
+}
+
+TEST(GoldenTest, RecoveryFlightJson) {
+  CompareOrUpdate("recovery_flight.json", RecoveryArtifacts().flight_json);
+}
 
 }  // namespace
 }  // namespace ofc

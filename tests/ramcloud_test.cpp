@@ -1,5 +1,7 @@
 // Unit tests for the RAMCloud-style cache cluster: placement, replication,
 // access stats, vertical scaling, optimized migration, crash recovery.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/common/checksum.h"
@@ -414,6 +416,64 @@ TEST_F(ClusterTest, CrashRecoveryPrefersHealthyReplicaOverCorruptOne) {
   for (const Checksum backup : scrubbed->backup_checksums) {
     EXPECT_EQ(backup, expected);
   }
+}
+
+// Crash and quarantine promote a backup the same way but stamp it
+// differently. A crash loses the master's DRAM, so with every surviving
+// replica corrupt there is nothing to repair from: the new master keeps the
+// corrupt stored checksum, new replicas copy it, and reads report data loss.
+TEST_F(ClusterTest, CrashRecoveryKeepsCorruptChecksumWithoutHealthySurvivor) {
+  ASSERT_TRUE(WriteSync(0, "a", MiB(2)).ok());
+  const auto before = cluster_.Inspect("a");
+  ASSERT_TRUE(before.ok());
+  for (int b : before->backups) {
+    ASSERT_EQ(cluster_.CorruptReplica(b, 1), 1);
+  }
+  const auto result = cluster_.CrashNode(0);
+  EXPECT_EQ(result.objects_recovered, 1u);
+  EXPECT_EQ(result.objects_lost, 0u);
+
+  const auto after = cluster_.Inspect("a");
+  ASSERT_TRUE(after.ok());
+  const Checksum expected = ExpectedChecksum("a", after->size, after->version);
+  EXPECT_EQ(after->checksum, CorruptChecksum(expected));
+  ASSERT_EQ(after->backups.size(), 2u);
+  for (const Checksum backup : after->backup_checksums) {
+    EXPECT_NE(backup, expected);
+  }
+  EXPECT_EQ(cluster_.stats().checksum_failures, 1u);
+  EXPECT_EQ(cluster_.stats().integrity_repairs, 0u);
+  EXPECT_EQ(ReadSync(0, "a").status().code(), StatusCode::kDataLoss);
+}
+
+// A quarantined node's copies are drained with the RSDS at hand, so the new
+// master and the new replica are stamped with the expected checksum even
+// when every replica it could promote is corrupt.
+TEST_F(ClusterTest, QuarantineInstallsExpectedChecksumWhenEveryReplicaIsCorrupt) {
+  ASSERT_TRUE(WriteSync(0, "a", MiB(2)).ok());
+  const auto before = cluster_.Inspect("a");
+  ASSERT_TRUE(before.ok());
+  for (int b : before->backups) {
+    ASSERT_EQ(cluster_.CorruptReplica(b, 1), 1);
+  }
+  const auto result = cluster_.QuarantineNode(0);
+  EXPECT_EQ(result.objects_recovered, 1u);
+  EXPECT_EQ(result.objects_lost, 0u);
+
+  const auto after = cluster_.Inspect("a");
+  ASSERT_TRUE(after.ok());
+  const Checksum expected = ExpectedChecksum("a", after->size, after->version);
+  EXPECT_EQ(after->checksum, expected);
+  ASSERT_EQ(after->backups.size(), 2u);
+  for (std::size_t i = 0; i < after->backups.size(); ++i) {
+    const bool fresh = std::find(before->backups.begin(), before->backups.end(),
+                                 after->backups[i]) == before->backups.end();
+    // The untouched original replica stays corrupt until the scrubber visits.
+    EXPECT_EQ(after->backup_checksums[i] == expected, fresh) << after->backups[i];
+  }
+  EXPECT_EQ(cluster_.stats().checksum_failures, 1u);
+  EXPECT_EQ(cluster_.stats().integrity_repairs, 1u);
+  EXPECT_TRUE(ReadSync(0, "a").ok());
 }
 
 TEST_F(ClusterTest, ChecksumsSurviveMigrationAndRestart) {
