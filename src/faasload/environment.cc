@@ -1,5 +1,8 @@
 #include "src/faasload/environment.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace ofc::faasload {
 
 std::string ModeName(Mode mode) {
@@ -70,6 +73,92 @@ Environment::Environment(Mode mode, EnvironmentOptions options) : mode_(mode) {
   }
   trace->SetProcessName(obs::kPidInvocations, "invocations");
   trace->SetProcessName(obs::kPidPipelines, "pipelines");
+}
+
+fault::FaultInjector& Environment::faults() {
+  if (faults_ == nullptr) {
+    fault::FaultInjectorTargets targets{platform_.get(), cluster_.get(), rsds_.get(),
+                                        ofc_ != nullptr ? &ofc_->proxy() : nullptr};
+    faults_ = std::make_unique<fault::FaultInjector>(
+        &loop_, targets, fault::FaultInjectorOptions{metrics_, flight_});
+    trace().SetProcessName(obs::kPidFaults, "fault-injector");
+  }
+  return *faults_;
+}
+
+Result<core::Scrubber*> Environment::StartScrubber(core::ScrubberOptions options) {
+  if (cluster_ == nullptr) {
+    return FailedPreconditionError("the scrubber needs a cache cluster (OFC mode)");
+  }
+  options.metrics = metrics_;
+  scrubber_ = std::make_unique<core::Scrubber>(&loop_, cluster_.get(), rsds_.get(), options);
+  scrubber_->Start();
+  return scrubber_.get();
+}
+
+void Environment::StartTelemetry(SimDuration interval, std::vector<obs::SloSpec> slos) {
+  slo_ = std::make_unique<obs::SloMonitor>(metrics_, &trace(), std::move(slos));
+  timeline_ = std::make_unique<obs::TimelineRecorder>(metrics_);
+  scraper_ = std::make_unique<sim::PeriodicTask>(&loop_, interval, [this](SimTime now) {
+    slo_->Evaluate(now);
+    timeline_->Scrape(now);
+  });
+  scraper_->Start();
+}
+
+RunArtifacts Environment::Finish(const std::string& flight_reason) {
+  const SimTime now = loop_.now();
+  if (scrubber_ != nullptr) {
+    scrubber_->Stop();
+  }
+  RunArtifacts run;
+  if (scraper_ != nullptr) {
+    scraper_->Stop();
+    slo_->Evaluate(now);
+    timeline_->Scrape(now);
+    run.timeline_json = timeline_->ToJson();
+    run.health_json = slo_->HealthJson(now);
+  }
+  run.metrics_json = metrics_->SnapshotJson(now);
+  if (flight_->enabled()) {
+    run.flight_json = flight_->ToJson(flight_reason);
+  }
+  run.final_time = now;
+  run.events_scheduled = loop_.total_scheduled();
+  run.invocations = platform_->stats().invocations;
+  return run;
+}
+
+std::vector<std::string> RunArtifacts::Diff(const RunArtifacts& other) const {
+  std::vector<std::string> out;
+  const auto count = [&out](const char* what, auto a, auto b, const char* unit) {
+    if (a != b) {
+      out.push_back(std::string(what) + " diverged: " + std::to_string(a) + " vs " +
+                    std::to_string(b) + unit);
+    }
+  };
+  count("final sim time", final_time, other.final_time, " us");
+  count("event count", events_scheduled, other.events_scheduled, "");
+  count("invocation count", invocations, other.invocations, "");
+  const std::pair<const char*, std::string RunArtifacts::*> artifacts[] = {
+      {"metrics JSON", &RunArtifacts::metrics_json},
+      {"timeline JSON", &RunArtifacts::timeline_json},
+      {"health JSON", &RunArtifacts::health_json},
+      {"flight JSON", &RunArtifacts::flight_json},
+  };
+  for (const auto& [what, field] : artifacts) {
+    const std::string& a = this->*field;
+    const std::string& b = other.*field;
+    if (a != b) {
+      // Point at the first differing line to make the divergence debuggable.
+      const auto end = a.begin() + static_cast<std::ptrdiff_t>(std::min(a.size(), b.size()));
+      const auto at = std::mismatch(a.begin(), end, b.begin()).first;
+      out.push_back(std::string(what) + " diverged at line " +
+                    std::to_string(1 + std::count(a.begin(), at, '\n')) + " (byte " +
+                    std::to_string(at - a.begin()) + ")");
+    }
+  }
+  return out;
 }
 
 }  // namespace ofc::faasload

@@ -6,22 +6,33 @@
 //
 // An Environment bundles the event loop, stores, cluster, OFC assembly and
 // platform with consistent seeding so that benches construct them in one call.
+// It is also the one place a run's optional parts are attached — the fault
+// injector, the integrity scrubber and the telemetry scrape loop — and where
+// what the run leaves behind is collected (Finish). ofc-sim, the chaos harness
+// and the golden and determinism tests all run this one assembly.
 #ifndef OFC_FAASLOAD_ENVIRONMENT_H_
 #define OFC_FAASLOAD_ENVIRONMENT_H_
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/status.h"
 #include "src/core/ofc_system.h"
+#include "src/core/scrubber.h"
 #include "src/faas/direct_data_service.h"
 #include "src/faas/platform.h"
+#include "src/fault/fault_injector.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
+#include "src/obs/slo.h"
+#include "src/obs/timeline.h"
 #include "src/obs/trace.h"
 #include "src/ramcloud/cluster.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/periodic.h"
 #include "src/store/object_store.h"
 
 namespace ofc::faasload {
@@ -54,6 +65,23 @@ struct EnvironmentOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
+// What a run leaves behind: every artifact a replay must reproduce byte for
+// byte, plus the event loop's fingerprint.
+struct RunArtifacts {
+  std::string metrics_json;
+  std::string timeline_json;  // Empty unless telemetry was started.
+  std::string health_json;    // Empty unless telemetry was started.
+  std::string flight_json;    // Empty unless the flight ring was on.
+  SimTime final_time = 0;
+  std::uint64_t events_scheduled = 0;
+  std::uint64_t invocations = 0;
+
+  // One line per field that differs from `other` ("final sim time diverged:
+  // 1 vs 2 us", "metrics JSON diverged at line 7 (byte 120)"); empty when the
+  // two runs are identical.
+  std::vector<std::string> Diff(const RunArtifacts& other) const;
+};
+
 class Environment {
  public:
   Environment(Mode mode, EnvironmentOptions options);
@@ -73,6 +101,29 @@ class Environment {
   obs::TraceRecorder& trace() { return *flight_->trace(); }
   obs::FlightRecorder& flight() { return *flight_; }
 
+  // ---- Optional parts. Each is built on first use, so a run that arms none
+  // of them registers no metric cell for it.
+
+  // The fault injector, wired to every target this mode has (the cluster and
+  // proxy are null in the baseline modes, so plans addressing them reject),
+  // the metrics and the flight stream; it names the fault-injector trace track.
+  fault::FaultInjector& faults();
+  // Starts the background integrity scrubber. It sweeps the cache cluster, so
+  // it fails in the baseline modes. `options.metrics` is set here.
+  Result<core::Scrubber*> StartScrubber(core::ScrubberOptions options);
+  // Starts the telemetry scrape loop: every `interval` the SLOs are evaluated
+  // first, so their ofc.slo.* cells land in the window the timeline scrape
+  // then captures.
+  void StartTelemetry(SimDuration interval, std::vector<obs::SloSpec> slos);
+  // Null until StartTelemetry.
+  obs::SloMonitor* slo() { return slo_.get(); }
+  obs::TimelineRecorder* timeline() { return timeline_.get(); }
+
+  // Stops the scrubber and the scrape loop, scrapes the final partial window
+  // (the tail between the last tick and now) and collects the run's artifacts;
+  // `flight_reason` heads the flight dump. The environment stays inspectable.
+  RunArtifacts Finish(const std::string& flight_reason = "end_of_run");
+
  private:
   Mode mode_;
   sim::EventLoop loop_;
@@ -86,6 +137,12 @@ class Environment {
   std::unique_ptr<core::OfcSystem> ofc_;
   std::unique_ptr<faas::DirectDataService> direct_;
   std::unique_ptr<faas::Platform> platform_;
+  // Optional parts, built on first use.
+  std::unique_ptr<fault::FaultInjector> faults_;
+  std::unique_ptr<core::Scrubber> scrubber_;
+  std::unique_ptr<obs::SloMonitor> slo_;
+  std::unique_ptr<obs::TimelineRecorder> timeline_;
+  std::unique_ptr<sim::PeriodicTask> scraper_;
 };
 
 }  // namespace ofc::faasload

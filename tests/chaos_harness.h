@@ -19,15 +19,17 @@
 //        copy and store object verifies against its expected checksum after
 //        the drain — injected corruption was detected and repaired.
 //
-// Everything is deterministic: (seed, options, plan) fully determine the run,
-// so ChaosReport::Fingerprint() must be byte-identical across replays.
+// The stack is a faasload::Environment, the assembly ofc-sim runs: it wires the
+// fault injector, the scrubber and the telemetry scrape loop, and its Finish()
+// returns the run's artifacts. Everything is deterministic: (options, plan)
+// fully determine the run, so ChaosReport::run must be byte-identical across
+// replays.
 #ifndef OFC_TESTS_CHAOS_HARNESS_H_
 #define OFC_TESTS_CHAOS_HARNESS_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -35,23 +37,32 @@
 
 #include "src/common/checksum.h"
 #include "src/common/rng.h"
-#include "src/core/scrubber.h"
-#include "src/faas/direct_data_service.h"
 #include "src/faas/platform.h"
 #include "src/faasload/environment.h"
-#include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/slo.h"
-#include "src/obs/timeline.h"
-#include "src/sim/periodic.h"
 #include "src/workloads/functions.h"
 #include "src/workloads/media.h"
 
 namespace ofc::chaos {
 
+// The harness's stack: seed 1, 3 workers (also the RAMCloud cluster size) of
+// 8 GiB, and a breaker that, once armed, stays open 10 s and closes after 2
+// probes. Overload settings (queue bound and deadline, concurrency cap,
+// breaker threshold) default off.
+inline faasload::EnvironmentOptions ChaosEnvironment() {
+  faasload::EnvironmentOptions env;
+  env.seed = 1;
+  env.platform.num_workers = 3;
+  env.platform.worker_memory = GiB(8);
+  env.ofc.proxy.breaker_open_duration = Seconds(10);
+  env.ofc.proxy.breaker_half_open_probes = 2;
+  return env;
+}
+
 struct ChaosScenarioOptions {
-  std::uint64_t seed = 1;
-  int num_workers = 3;        // Also the RAMCloud cluster size in kOfc.
+  // The OFC stack under test; env.seed also seeds the workload.
+  faasload::EnvironmentOptions env = ChaosEnvironment();
   int num_objects = 6;        // Seeded input objects.
   int num_invocations = 30;   // Poisson arrivals over the fault horizon.
   double mean_interval_s = 5.0;
@@ -61,29 +72,15 @@ struct ChaosScenarioOptions {
   SimDuration drain = Minutes(10);     // Post-quiesce persistor drain budget.
   fault::FaultPlan plan;
 
-  // ---- Overload scenario knobs (all default off = legacy behaviour) ----------
-  std::size_t queue_limit = 0;           // Platform wait-queue depth bound.
-  SimDuration queue_deadline = 0;        // Shed-if-queued-longer-than deadline.
-  int max_concurrency_per_function = 0;  // Per-function running-invocation cap.
-  int breaker_threshold = 0;             // Proxy cache breaker (0 = disabled).
-  SimDuration breaker_open = Seconds(10);
-  int breaker_probes = 2;
-  SimDuration breaker_latency_slo = 0;
-  // Baseline mode for breaker-bypass comparisons: the OFC stack runs but no
-  // object is cacheable, so every read/write goes straight to the RSDS.
-  bool disable_cache = false;
   // Arrival burst: `burst_count` extra invocations land back-to-back starting
   // at `burst_at` (1 ms apart), on top of the Poisson arrivals.
   int burst_count = 0;
   SimTime burst_at = Seconds(60);
 
-  // ---- Integrity knobs (all default off = legacy behaviour) ------------------
-  // Background scrubber sweeping cluster + store copies; 0 = no scrubber. It
-  // runs through the drain window, so injected corruption must be repaired by
-  // the time the I6 end-state sweep runs.
-  SimDuration scrub_interval = 0;
-  int scrub_objects_per_cycle = 64;
-  int scrub_quarantine_threshold = 8;  // Corrupt copies per node before drain.
+  // Background scrubber sweeping cluster + store copies; interval 0 = no
+  // scrubber. It runs through the drain window, so injected corruption must be
+  // repaired by the time the I6 end-state sweep runs.
+  core::ScrubberOptions scrub{.interval = 0};
 
   // ---- Observability knobs (all default off = legacy behaviour) --------------
   // Black-box ring recording every causal lifecycle event of the run.
@@ -108,10 +105,8 @@ struct ChaosReport {
   // cost a breaker-bypass run is compared against the no-cache baseline on.
   double mean_el_ms = 0.0;
   std::vector<std::string> violations;
-  std::string metrics_json;
-  std::string timeline_json;  // Empty unless timeline/SLO scraping was on.
-  std::string health_json;    // Empty unless scraping was on.
-  std::string flight_json;    // Empty unless the flight recorder was on.
+  // Everything observable about the run; replays must match byte-for-byte.
+  faasload::RunArtifacts run;
   std::uint64_t slo_alerts_fired = 0;
   double worst_burn = 0.0;
   // Timeline bracketing for acceptance audits: start of the first and end of
@@ -126,24 +121,11 @@ struct ChaosReport {
   // Selected fault-path counters (summed over labels), snapshotted before the
   // environment is torn down so tests can assert on them.
   std::map<std::string, std::uint64_t> counters;
-  SimTime final_time = 0;
-  std::uint64_t events_scheduled = 0;
 
   bool ok() const { return violations.empty(); }
   std::uint64_t counter(const std::string& name) const {
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
-  }
-  // Everything observable about the run; replays must match byte-for-byte.
-  std::string Fingerprint() const {
-    std::ostringstream out;
-    out << scheduled << "/" << completed << "/" << succeeded << "/" << failed
-        << "/" << shed << "@" << final_time << "#" << events_scheduled << "\n"
-        << metrics_json << "\n"
-        << timeline_json << "\n"
-        << health_json << "\n"
-        << flight_json;
-    return out.str();
   }
   std::string ViolationSummary() const {
     std::ostringstream out;
@@ -154,6 +136,38 @@ struct ChaosReport {
   }
 };
 
+// I6's end-state sweep: one violation per surviving cache copy (master or
+// backup) or store object whose checksum does not verify.
+inline std::vector<std::string> CorruptCopies(faasload::Environment& env) {
+  std::vector<std::string> corrupt;
+  rc::Cluster* cluster = env.cluster();
+  for (int node = 0; node < cluster->num_nodes(); ++node) {
+    for (const std::string& key : cluster->KeysOn(node)) {
+      const auto obj = cluster->Inspect(key);
+      if (!obj.ok()) {
+        continue;
+      }
+      const Checksum expected = ExpectedChecksum(key, obj->size, obj->version);
+      if (obj->checksum != expected) {
+        corrupt.push_back("I6: cached object " + key + " master copy still corrupt after drain");
+      }
+      for (std::size_t b = 0; b < obj->backup_checksums.size(); ++b) {
+        if (obj->backup_checksums[b] != expected) {
+          corrupt.push_back("I6: cached object " + key + " backup copy on node " +
+                            std::to_string(obj->backups[b]) + " still corrupt after drain");
+        }
+      }
+    }
+  }
+  for (const std::string& key : env.rsds().Keys()) {
+    const auto meta = env.rsds().Stat(key);
+    if (meta.ok() && meta->checksum != ExpectedChecksum(key, meta->size, meta->rsds_version)) {
+      corrupt.push_back("I6: store object " + key + " still corrupt after drain");
+    }
+  }
+  return corrupt;
+}
+
 // Runs one chaos scenario to quiescence and audits the six invariants.
 inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
   ChaosReport report;
@@ -161,21 +175,7 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
     report.violations.push_back(what);
   };
 
-  faasload::EnvironmentOptions env_options;
-  env_options.platform.num_workers = options.num_workers;
-  env_options.platform.worker_memory = GiB(8);
-  env_options.platform.max_queue_depth = options.queue_limit;
-  env_options.platform.queue_deadline = options.queue_deadline;
-  env_options.platform.max_concurrency_per_function = options.max_concurrency_per_function;
-  env_options.ofc.proxy.breaker_failure_threshold = options.breaker_threshold;
-  env_options.ofc.proxy.breaker_open_duration = options.breaker_open;
-  env_options.ofc.proxy.breaker_half_open_probes = options.breaker_probes;
-  env_options.ofc.proxy.breaker_latency_slo = options.breaker_latency_slo;
-  if (options.disable_cache) {
-    env_options.ofc.proxy.max_cacheable_size = 0;  // Everything bypasses cache.
-  }
-  env_options.seed = options.seed;
-  faasload::Environment env(faasload::Mode::kOfc, env_options);
+  faasload::Environment env(faasload::Mode::kOfc, options.env);
   if (options.flight_recorder) {
     env.flight().set_capacity(options.flight_capacity);
     env.flight().set_enabled(true);
@@ -189,20 +189,8 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
     return report;
   };
 
-  // ---- Telemetry scrape loop -------------------------------------------------
-  const bool scraping = options.timeline || !options.slos.empty();
-  std::unique_ptr<obs::SloMonitor> slo;
-  std::unique_ptr<obs::TimelineRecorder> timeline;
-  std::unique_ptr<sim::PeriodicTask> scraper;
-  if (scraping) {
-    slo = std::make_unique<obs::SloMonitor>(&env.metrics(), /*trace=*/nullptr, options.slos);
-    timeline = std::make_unique<obs::TimelineRecorder>(&env.metrics());
-    scraper = std::make_unique<sim::PeriodicTask>(
-        &env.loop(), options.scrape_interval, [&slo, &timeline](SimTime now) {
-          slo->Evaluate(now);
-          timeline->Scrape(now);
-        });
-    scraper->Start();
+  if (options.timeline || !options.slos.empty()) {
+    env.StartTelemetry(options.scrape_interval, options.slos);
   }
 
   // ---- Workload setup --------------------------------------------------------
@@ -213,10 +201,10 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
     violate("setup: RegisterFunction failed");
     return finalize();
   }
-  Rng pretrain_rng(options.seed + 17);
+  Rng pretrain_rng(options.env.seed + 17);
   env.ofc()->trainer().Pretrain(config.spec, 1000, pretrain_rng);
 
-  Rng rng(options.seed * 7919 + 1);
+  Rng rng(options.env.seed * 7919 + 1);
   workloads::MediaGenerator generator(rng.Fork());
   std::vector<faas::InputObject> inputs;
   for (int i = 0; i < options.num_objects; ++i) {
@@ -228,12 +216,7 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
   }
 
   // ---- Fault plan ------------------------------------------------------------
-  fault::FaultInjector injector(
-      &env.loop(),
-      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                  &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), &env.flight()});
-  if (Status plan_status = injector.Schedule(options.plan); !plan_status.ok()) {
+  if (Status plan_status = env.faults().Schedule(options.plan); !plan_status.ok()) {
     violate("setup: fault plan rejected: " + plan_status.message());
     return finalize();
   }
@@ -243,16 +226,9 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
   }
 
   // ---- Background scrubber ---------------------------------------------------
-  std::unique_ptr<core::Scrubber> scrubber;
-  if (options.scrub_interval > 0) {
-    core::ScrubberOptions scrub_options;
-    scrub_options.interval = options.scrub_interval;
-    scrub_options.objects_per_cycle = options.scrub_objects_per_cycle;
-    scrub_options.quarantine_threshold = options.scrub_quarantine_threshold;
-    scrub_options.metrics = &env.metrics();
-    scrubber = std::make_unique<core::Scrubber>(&env.loop(), env.cluster(), &env.rsds(),
-                                                scrub_options);
-    scrubber->Start();
+  if (options.scrub.interval > 0 && !env.StartScrubber(options.scrub).ok()) {
+    violate("setup: scrubber did not start");
+    return finalize();
   }
 
   // ---- Poisson arrivals + optional burst -------------------------------------
@@ -302,15 +278,7 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
   // All faults have healed by quiesce_at; give persistor retries a full drain
   // window beyond whatever point the workload finished at.
   env.loop().RunUntil(std::max(env.loop().now(), quiesce_at) + options.drain);
-  if (scraper != nullptr) {
-    scraper->Stop();
-    // Final partial window covering the tail of the drain.
-    slo->Evaluate(env.loop().now());
-    timeline->Scrape(env.loop().now());
-  }
-  if (scrubber != nullptr) {
-    scrubber->Stop();
-  }
+  report.run = env.Finish();
 
   // ---- I3: exactly-once completion -------------------------------------------
   if (report.completed != total_invocations) {
@@ -420,14 +388,13 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
               " reports a non-kOk final status");
     }
   }
-  if (options.queue_deadline > 0) {
+  if (const SimDuration deadline = options.env.platform.queue_deadline; deadline > 0) {
     if (const obs::Series* wait =
             env.metrics().FindSeries("ofc.platform.queue_wait_ms");
-        wait != nullptr && wait->count() > 0 &&
-        wait->running().max() > ToMillis(options.queue_deadline)) {
+        wait != nullptr && wait->count() > 0 && wait->running().max() > ToMillis(deadline)) {
       violate("I5: a request waited " + std::to_string(wait->running().max()) +
-              " ms in the queue, past the " +
-              std::to_string(ToMillis(options.queue_deadline)) + " ms deadline");
+              " ms in the queue, past the " + std::to_string(ToMillis(deadline)) +
+              " ms deadline");
     }
   }
 
@@ -437,33 +404,11 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
             std::to_string(env.metrics().CounterTotal("ofc.integrity.corrupt_acked")) +
             " corrupt payloads were acked to functions");
   }
-  if (options.scrub_interval > 0) {
+  if (options.scrub.interval > 0) {
     // End-state convergence sweep: with the scrubber running through the drain,
     // every injected corruption must have been found and repaired by now.
-    for (int node = 0; node < cluster->num_nodes(); ++node) {
-      for (const std::string& key : cluster->KeysOn(node)) {
-        const auto obj = cluster->Inspect(key);
-        if (!obj.ok()) {
-          continue;
-        }
-        const Checksum expected = ExpectedChecksum(key, obj->size, obj->version);
-        if (obj->checksum != expected) {
-          violate("I6: cached object " + key + " master copy still corrupt after drain");
-        }
-        for (std::size_t b = 0; b < obj->backup_checksums.size(); ++b) {
-          if (obj->backup_checksums[b] != expected) {
-            violate("I6: cached object " + key + " backup copy on node " +
-                    std::to_string(obj->backups[b]) + " still corrupt after drain");
-          }
-        }
-      }
-    }
-    for (const std::string& key : env.rsds().Keys()) {
-      const auto meta = env.rsds().Stat(key);
-      if (meta.ok() &&
-          meta->checksum != ExpectedChecksum(key, meta->size, meta->rsds_version)) {
-        violate("I6: store object " + key + " still corrupt after drain");
-      }
+    for (const std::string& corrupt : CorruptCopies(env)) {
+      violate(corrupt);
     }
   }
 
@@ -478,7 +423,6 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
   }
   report.mean_el_ms = el_count > 0 ? el_sum_ms / el_count : 0.0;
 
-  report.metrics_json = env.metrics().SnapshotJson(env.loop().now());
   for (const char* name :
        {"ofc.fault.injected", "ofc.fault.healed", "ofc.proxy.fallback_writes",
         "ofc.proxy.rsds_retries", "ofc.proxy.read_deadlines", "ofc.proxy.persistor_drops",
@@ -498,9 +442,8 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
         "ofc.scrub.repairs", "ofc.scrub.quarantines"}) {
     report.counters[name] = env.metrics().CounterTotal(name);
   }
-  if (timeline != nullptr) {
-    report.timeline_json = timeline->ToJson();
-    auto bracket = [&timeline](const std::string& family, SimTime* first_start,
+  if (const obs::TimelineRecorder* timeline = env.timeline(); timeline != nullptr) {
+    auto bracket = [timeline](const std::string& family, SimTime* first_start,
                                SimTime* last_end) {
       for (const obs::TimelineWindow& window : timeline->windows()) {
         for (const obs::TimelineCounter& cell : window.counters) {
@@ -519,16 +462,10 @@ inline ChaosReport RunChaosScenario(const ChaosScenarioOptions& options) {
     bracket("ofc.breaker.opens", &report.breaker_first_window_start,
             &report.breaker_last_window_end);
   }
-  if (slo != nullptr) {
-    report.health_json = slo->HealthJson(env.loop().now());
+  if (const obs::SloMonitor* slo = env.slo(); slo != nullptr) {
     report.slo_alerts_fired = slo->alerts_fired();
     report.worst_burn = slo->worst_burn();
   }
-  if (options.flight_recorder) {
-    report.flight_json = env.flight().ToJson("end_of_run");
-  }
-  report.final_time = env.loop().now();
-  report.events_scheduled = env.loop().total_scheduled();
   return finalize();
 }
 

@@ -1,9 +1,10 @@
 // Chaos tests: randomized-but-deterministic fault schedules against the full
 // platform, audited by the six invariants in chaos_harness.h. Every scenario
-// is replayable — same seed and plan must give a byte-identical fingerprint.
+// is replayable — same seed and plan must give byte-identical run artifacts.
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,7 @@ void ExpectClean(const ChaosReport& report) {
 
 TEST(ChaosTest, FaultFreeBaselineIsClean) {
   ChaosScenarioOptions options;
-  options.seed = 101;
+  options.env.seed = 101;
   const ChaosReport report = RunChaosScenario(options);
   ExpectClean(report);
   EXPECT_EQ(report.failed, 0);
@@ -40,7 +41,7 @@ TEST(ChaosTest, FaultFreeBaselineIsClean) {
 // invariants must hold, deterministically across two replays of the same seed.
 ChaosScenarioOptions AcceptanceScenario(std::uint64_t seed) {
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.num_invocations = 40;
   options.mean_interval_s = 4.0;
   options.plan.events = {
@@ -65,7 +66,7 @@ TEST(ChaosTest, AcceptanceScenarioReplaysByteIdentical) {
   const ChaosReport first = RunChaosScenario(AcceptanceScenario(7));
   const ChaosReport second = RunChaosScenario(AcceptanceScenario(7));
   ExpectClean(first);
-  EXPECT_EQ(first.Fingerprint(), second.Fingerprint());
+  EXPECT_EQ(first.run.Diff(second.run), std::vector<std::string>{});
 }
 
 TEST(ChaosTest, MachineCrashUnderStoreOutageRecovers) {
@@ -73,7 +74,7 @@ TEST(ChaosTest, MachineCrashUnderStoreOutageRecovers) {
   // while the RSDS is down, so in-flight work re-dispatches into a degraded
   // data path and recovery runs with one fewer node.
   ChaosScenarioOptions options;
-  options.seed = 23;
+  options.env.seed = 23;
   options.num_invocations = 30;
   options.plan.events = {
       FaultEvent{Seconds(40), FaultKind::kStoreOutage, -1, Seconds(25)},
@@ -91,7 +92,7 @@ TEST(ChaosTest, StoreOutageDuringWritesFallsBackTransparently) {
   // A long outage squarely over the busiest arrival window: acknowledged
   // writes must survive via the cache-backed fallback + degraded persistor.
   ChaosScenarioOptions options;
-  options.seed = 31;
+  options.env.seed = 31;
   options.num_invocations = 40;
   options.mean_interval_s = 3.0;
   options.plan.events = {
@@ -108,7 +109,7 @@ TEST(ChaosTest, StoreOutageDuringWritesFallsBackTransparently) {
 
 TEST(ChaosTest, PersistorDropDelaysButNeverLosesWrites) {
   ChaosScenarioOptions options;
-  options.seed = 47;
+  options.env.seed = 47;
   options.num_invocations = 35;
   options.mean_interval_s = 3.0;
   options.plan.events = {
@@ -125,7 +126,7 @@ TEST(ChaosTest, OverlappingNodeCrashesReestablishReplication) {
   // Two staggered node crashes (never all nodes at once): recovery promotes
   // backups twice and the restarts must restore the replication factor.
   ChaosScenarioOptions options;
-  options.seed = 53;
+  options.env.seed = 53;
   options.num_invocations = 30;
   options.plan.events = {
       FaultEvent{Seconds(40), FaultKind::kNodeCrash, 0, Seconds(30)},
@@ -144,15 +145,15 @@ TEST(ChaosTest, OverlappingNodeCrashesReestablishReplication) {
 // the breaker must route survivors around the sick cache.
 ChaosScenarioOptions OverloadScenario(std::uint64_t seed) {
   ChaosScenarioOptions options;
-  options.seed = seed;
-  options.num_workers = 2;
+  options.env.seed = seed;
+  options.env.platform.num_workers = 2;
   options.num_invocations = 15;
   options.mean_interval_s = 6.0;
-  options.queue_limit = 6;
-  options.queue_deadline = Seconds(2);
-  options.breaker_threshold = 3;
-  options.breaker_open = Seconds(10);
-  options.breaker_probes = 2;
+  options.env.platform.max_queue_depth = 6;
+  options.env.platform.queue_deadline = Seconds(2);
+  options.env.ofc.proxy.breaker_failure_threshold = 3;
+  options.env.ofc.proxy.breaker_open_duration = Seconds(10);
+  options.env.ofc.proxy.breaker_half_open_probes = 2;
   options.burst_count = 40;
   options.burst_at = Seconds(60);
   options.plan.events = {
@@ -180,7 +181,7 @@ TEST(ChaosTest, OverloadScenarioReplaysByteIdentical) {
   const ChaosReport first = RunChaosScenario(OverloadScenario(13));
   const ChaosReport second = RunChaosScenario(OverloadScenario(13));
   ExpectClean(first);
-  EXPECT_EQ(first.Fingerprint(), second.Fingerprint());
+  EXPECT_EQ(first.run.Diff(second.run), std::vector<std::string>{});
 }
 
 // The overload scenario with the full observability stack on: windowed
@@ -224,34 +225,34 @@ TEST(ChaosTest, TimelineBracketsFaultWindowAndSloAlertFires) {
   // the health artifact.
   EXPECT_GE(report.slo_alerts_fired, 1u);
   EXPECT_GT(report.worst_burn, 1.5);
-  EXPECT_NE(report.health_json.find("\"slo\": \"shed\""), std::string::npos);
+  EXPECT_NE(report.run.health_json.find("\"slo\": \"shed\""), std::string::npos);
 
   // The flight ring carries the causal story: lifecycle, overload, breaker,
   // and fault-window records all present.
   for (const char* kind : {"\"kind\": \"submit\"", "\"kind\": \"complete\"",
                            "\"kind\": \"shed\"", "\"kind\": \"breaker_open\"",
                            "\"kind\": \"fault_inject\"", "\"kind\": \"fault_heal\""}) {
-    EXPECT_NE(report.flight_json.find(kind), std::string::npos) << kind;
+    EXPECT_NE(report.run.flight_json.find(kind), std::string::npos) << kind;
   }
 }
 
 TEST(ChaosTest, ObservedOverloadReplaysAllArtifactsByteIdentical) {
-  // Fingerprint() covers metrics, timeline, health, and flight JSON — this is
+  // RunArtifacts covers metrics, timeline, health, and flight JSON — this is
   // the artifact-level determinism acceptance for the observability stack.
   const ChaosReport first = RunChaosScenario(ObservedOverloadScenario(13));
   const ChaosReport second = RunChaosScenario(ObservedOverloadScenario(13));
   ExpectClean(first);
-  EXPECT_FALSE(first.timeline_json.empty());
-  EXPECT_FALSE(first.health_json.empty());
-  EXPECT_FALSE(first.flight_json.empty());
-  EXPECT_EQ(first.Fingerprint(), second.Fingerprint());
+  EXPECT_FALSE(first.run.timeline_json.empty());
+  EXPECT_FALSE(first.run.health_json.empty());
+  EXPECT_FALSE(first.run.flight_json.empty());
+  EXPECT_EQ(first.run.Diff(second.run), std::vector<std::string>{});
 }
 
 TEST(ChaosTest, ViolationDumpsFlightRingForPostMortem) {
   // A plan that addresses a node the cluster does not have is the cheapest
   // deterministic "breach": the harness must still honor dump_on_violation.
   ChaosScenarioOptions options;
-  options.seed = 5;
+  options.env.seed = 5;
   options.flight_recorder = true;
   options.dump_on_violation = ::testing::TempDir() + "/chaos_flight_dump.json";
   options.plan.events = {FaultEvent{Seconds(1), FaultKind::kNodeCrash, 99, Seconds(5)}};
@@ -271,17 +272,18 @@ TEST(ChaosTest, BreakerOpenMatchesNoCacheBaseline) {
   // extract+load data path must match a cache-disabled run of the same
   // workload within 5% — graceful degradation, not a new failure mode.
   ChaosScenarioOptions degraded;
-  degraded.seed = 71;
+  degraded.env.seed = 71;
   degraded.num_invocations = 25;
   degraded.mean_interval_s = 8.0;
-  degraded.breaker_threshold = 1;
-  degraded.breaker_open = Minutes(10);  // Never half-opens during the run.
+  degraded.env.ofc.proxy.breaker_failure_threshold = 1;
+  degraded.env.ofc.proxy.breaker_open_duration = Minutes(10);  // Never half-opens during the run.
   degraded.plan.events = {
       FaultEvent{0, FaultKind::kCacheDegraded, -1, Minutes(10)},
   };
   ChaosScenarioOptions baseline = degraded;
-  baseline.disable_cache = true;
-  baseline.breaker_threshold = 0;
+  // No object is cacheable, so every read and write goes straight to the RSDS.
+  baseline.env.ofc.proxy.max_cacheable_size = 0;
+  baseline.env.ofc.proxy.breaker_failure_threshold = 0;
   baseline.plan.events.clear();
 
   const ChaosReport a = RunChaosScenario(degraded);
@@ -302,11 +304,11 @@ TEST(ChaosTest, BreakerOpenMatchesNoCacheBaseline) {
 // (the I6 end-state sweep), and no corrupt payload may ever reach a function.
 ChaosScenarioOptions BitFlipStormScenario(std::uint64_t seed) {
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.num_invocations = 40;
   options.mean_interval_s = 4.0;
-  options.scrub_interval = Seconds(5);
-  options.scrub_quarantine_threshold = 0;  // Repair-only; quarantine tested below.
+  options.scrub.interval = Seconds(5);
+  options.scrub.quarantine_threshold = 0;  // Repair-only; quarantine tested below.
   options.flight_recorder = true;
   options.plan.events = {
       FaultEvent{Seconds(30), FaultKind::kCorruptSegment, 0, 0, 3.0},
@@ -336,9 +338,9 @@ TEST(ChaosTest, BitFlipStormIsDetectedAndRepaired) {
   EXPECT_EQ(report.counter("ofc.integrity.corrupt_acked"), 0u);
   // The scrubber made full passes and the black box kept the causal story.
   EXPECT_GT(report.counter("ofc.scrub.cycles"), 0u);
-  EXPECT_NE(report.flight_json.find("\"kind\": \"corruption_detected\""),
+  EXPECT_NE(report.run.flight_json.find("\"kind\": \"corruption_detected\""),
             std::string::npos);
-  EXPECT_NE(report.flight_json.find("\"kind\": \"corruption_repaired\""),
+  EXPECT_NE(report.run.flight_json.find("\"kind\": \"corruption_repaired\""),
             std::string::npos);
 }
 
@@ -346,7 +348,7 @@ TEST(ChaosTest, BitFlipStormReplaysByteIdentical) {
   const ChaosReport first = RunChaosScenario(BitFlipStormScenario(9));
   const ChaosReport second = RunChaosScenario(BitFlipStormScenario(9));
   ExpectClean(first);
-  EXPECT_EQ(first.Fingerprint(), second.Fingerprint());
+  EXPECT_EQ(first.run.Diff(second.run), std::vector<std::string>{});
 }
 
 TEST(ChaosTest, RepeatedCorruptionQuarantinesTheSickNode) {
@@ -354,10 +356,10 @@ TEST(ChaosTest, RepeatedCorruptionQuarantinesTheSickNode) {
   // corrupt copies there it must drain the node gracefully and re-establish
   // replication elsewhere (I4 then holds against the reduced pool).
   ChaosScenarioOptions options;
-  options.seed = 11;
+  options.env.seed = 11;
   options.num_invocations = 30;
-  options.scrub_interval = Seconds(5);
-  options.scrub_quarantine_threshold = 2;
+  options.scrub.interval = Seconds(5);
+  options.scrub.quarantine_threshold = 2;
   options.flight_recorder = true;
   options.plan.events = {
       FaultEvent{Seconds(40), FaultKind::kCorruptSegment, 1, 0, 4.0},
@@ -370,7 +372,7 @@ TEST(ChaosTest, RepeatedCorruptionQuarantinesTheSickNode) {
   ExpectClean(report);
   EXPECT_GE(report.counter("ofc.scrub.quarantines"), 1u);
   EXPECT_GE(report.counter("ofc.ramcloud.nodes_quarantined"), 1u);
-  EXPECT_NE(report.flight_json.find("\"kind\": \"node_quarantined\""),
+  EXPECT_NE(report.run.flight_json.find("\"kind\": \"node_quarantined\""),
             std::string::npos);
 }
 
@@ -380,10 +382,10 @@ TEST(ChaosTest, ScrubInterleavesWithCrashRecoveryCleanly) {
   // more corruption lands while the node is down, and the store rots during
   // the crash window. No double-repair, no assert, and a clean end state.
   ChaosScenarioOptions options;
-  options.seed = 29;
+  options.env.seed = 29;
   options.num_invocations = 30;
-  options.scrub_interval = Seconds(5);
-  options.scrub_quarantine_threshold = 0;
+  options.scrub.interval = Seconds(5);
+  options.scrub.quarantine_threshold = 0;
   options.plan.events = {
       FaultEvent{Seconds(40), FaultKind::kCorruptSegment, 1, 0, 3.0},
       FaultEvent{Seconds(42), FaultKind::kNodeCrash, 1, Seconds(30)},
@@ -400,9 +402,9 @@ TEST(ChaosTest, ScrubInterleavesWithCrashRecoveryCleanly) {
 TEST(ChaosTest, ScrubbedCrashRunReplaysByteIdentical) {
   auto scenario = [] {
     ChaosScenarioOptions options;
-    options.seed = 29;
+    options.env.seed = 29;
     options.num_invocations = 30;
-    options.scrub_interval = Seconds(5);
+    options.scrub.interval = Seconds(5);
     options.flight_recorder = true;
     options.plan.events = {
         FaultEvent{Seconds(40), FaultKind::kCorruptSegment, 1, 0, 3.0},
@@ -415,7 +417,7 @@ TEST(ChaosTest, ScrubbedCrashRunReplaysByteIdentical) {
   const ChaosReport first = RunChaosScenario(scenario());
   const ChaosReport second = RunChaosScenario(scenario());
   ExpectClean(first);
-  EXPECT_EQ(first.Fingerprint(), second.Fingerprint());
+  EXPECT_EQ(first.run.Diff(second.run), std::vector<std::string>{});
 }
 
 // Randomized schedules: the plan is drawn from the seed, so each seed is a
@@ -437,7 +439,7 @@ TEST_P(RandomChaosTest, InvariantsHoldUnderRandomSchedule) {
   const std::uint64_t seed = GetParam();
   Rng plan_rng(seed * 1000003);
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.fault_horizon = Minutes(3);
   options.plan = fault::RandomFaultPlan(RandomPlanOptions(), &plan_rng);
   ASSERT_FALSE(options.plan.empty());
@@ -453,14 +455,14 @@ TEST_P(RandomChaosTest, RandomScheduleReplaysByteIdentical) {
   for (ChaosReport& report : reports) {
     Rng plan_rng(seed * 1000003);
     ChaosScenarioOptions options;
-    options.seed = seed;
+    options.env.seed = seed;
     options.fault_horizon = Minutes(3);
     options.num_invocations = 20;
     options.plan = fault::RandomFaultPlan(RandomPlanOptions(), &plan_rng);
     report = RunChaosScenario(options);
   }
   EXPECT_TRUE(reports[0].ok()) << reports[0].ViolationSummary();
-  EXPECT_EQ(reports[0].Fingerprint(), reports[1].Fingerprint());
+  EXPECT_EQ(reports[0].run.Diff(reports[1].run), std::vector<std::string>{});
 }
 
 TEST_P(RandomChaosTest, CorruptionScheduleWithScrubberStaysClean) {
@@ -472,10 +474,10 @@ TEST_P(RandomChaosTest, CorruptionScheduleWithScrubberStaysClean) {
   fault::ChaosPlanOptions plan_options = RandomPlanOptions();
   plan_options.include_corruption_faults = true;
   ChaosScenarioOptions options;
-  options.seed = seed;
+  options.env.seed = seed;
   options.fault_horizon = Minutes(3);
   options.num_invocations = 20;
-  options.scrub_interval = Seconds(5);
+  options.scrub.interval = Seconds(5);
   options.plan = fault::RandomFaultPlan(plan_options, &plan_rng);
   ASSERT_FALSE(options.plan.empty());
   const ChaosReport report = RunChaosScenario(options);

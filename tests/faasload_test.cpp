@@ -1,9 +1,14 @@
-// Unit tests for the FAASLOAD harness: environment factory, tenant setup,
-// dataset preparation, booking profiles, arrival processes.
+// Unit tests for the FAASLOAD harness: environment factory and its optional
+// run parts, tenant setup, dataset preparation, booking profiles, arrival
+// processes.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
+#include "src/fault/fault_plan.h"
 
 namespace ofc::faasload {
 namespace {
@@ -45,6 +50,76 @@ TEST(EnvironmentTest, ProfileOverrideApplies) {
   env.loop().Run();
   // S3 reads carry a ~28 ms base latency vs Swift's ~18 ms.
   EXPECT_GT(done, Millis(24));
+}
+
+// ---- The Environment's optional parts ---------------------------------------
+
+// A fault plan scheduled through faults() reaches the flight ring with no
+// wiring by the caller: the injector is attached to the environment's stream.
+TEST(EnvironmentTest, FaultsRecordIntoTheFlightStream) {
+  Environment env(Mode::kOfc, SmallEnv(3));
+  env.flight().set_enabled(true);
+  fault::FaultPlan plan;
+  plan.events = {fault::FaultEvent{Seconds(1), fault::FaultKind::kNodeCrash, 1, Seconds(2)}};
+  ASSERT_TRUE(env.faults().Schedule(plan).ok());
+  env.loop().RunUntil(Seconds(5));
+  const RunArtifacts run = env.Finish();
+  for (const char* kind : {"\"kind\": \"fault_inject\"", "\"kind\": \"fault_heal\"",
+                           "\"kind\": \"node_crash\"", "\"kind\": \"node_restart\""}) {
+    EXPECT_NE(run.flight_json.find(kind), std::string::npos) << kind;
+  }
+  EXPECT_EQ(env.metrics().CounterTotal("ofc.fault.injected"), 1u);
+}
+
+TEST(EnvironmentTest, ScrubberNeedsACacheCluster) {
+  Environment env(Mode::kOwkSwift, SmallEnv(4));
+  const Result<core::Scrubber*> scrubber = env.StartScrubber({});
+  EXPECT_EQ(scrubber.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(Environment(Mode::kOfc, SmallEnv(4)).StartScrubber({}).ok());
+}
+
+// Unarmed parts are never built: no fault, scrub or SLO cell is registered and
+// Finish leaves the telemetry and flight artifacts empty.
+TEST(EnvironmentTest, UnarmedPartsLeaveNoTrace) {
+  Environment env(Mode::kOfc, SmallEnv(5));
+  env.loop().RunUntil(Seconds(30));
+  const RunArtifacts run = env.Finish();
+  for (const char* family : {"ofc.fault.", "ofc.scrub.", "ofc.slo."}) {
+    EXPECT_EQ(run.metrics_json.find(family), std::string::npos) << family;
+  }
+  EXPECT_TRUE(run.timeline_json.empty());
+  EXPECT_TRUE(run.health_json.empty());
+  EXPECT_TRUE(run.flight_json.empty());
+  EXPECT_EQ(run.final_time, Seconds(30));
+  EXPECT_EQ(env.slo(), nullptr);
+}
+
+// Finish stops the scrape loop and takes the final partial window: a run that
+// ends between ticks still covers its tail, and the loop no longer rearms.
+TEST(EnvironmentTest, FinishScrapesTheFinalPartialWindow) {
+  Environment env(Mode::kOfc, SmallEnv(6));
+  env.StartTelemetry(Seconds(10), {});
+  env.loop().RunUntil(Seconds(25));
+  const RunArtifacts run = env.Finish();
+  ASSERT_NE(env.timeline(), nullptr);
+  ASSERT_EQ(env.timeline()->windows().size(), 3u);  // Ticks at 10 s, 20 s + the tail.
+  EXPECT_EQ(env.timeline()->windows().back().end, Seconds(25));
+  EXPECT_FALSE(run.timeline_json.empty());
+  EXPECT_FALSE(run.health_json.empty());
+  env.loop().RunUntil(Seconds(60));
+  EXPECT_EQ(env.timeline()->windows().size(), 3u);
+}
+
+TEST(RunArtifactsTest, DiffNamesEachDivergence) {
+  RunArtifacts a;
+  a.metrics_json = "{\n  \"x\": 1\n}";
+  a.final_time = 5;
+  RunArtifacts b = a;
+  EXPECT_TRUE(a.Diff(b).empty());
+  b.metrics_json = "{\n  \"x\": 2\n}";
+  b.final_time = 6;
+  EXPECT_EQ(a.Diff(b), (std::vector<std::string>{"final sim time diverged: 5 vs 6 us",
+                                                  "metrics JSON diverged at line 2 (byte 9)"}));
 }
 
 TEST(InjectorTest, AddTenantRejectsUnknownFunction) {

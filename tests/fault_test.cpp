@@ -738,10 +738,7 @@ TEST(FaultInjectorTest, WorkerCrashHealsIntoRestore) {
   env_options.platform.num_workers = 2;
   env_options.seed = 5;
   faasload::Environment env(faasload::Mode::kOfc, env_options);
-  FaultInjector injector(&env.loop(),
-                         FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                              &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.flight()});
+  FaultInjector& injector = env.faults();
   FaultPlan plan;
   plan.events = {FaultEvent{Seconds(1), FaultKind::kWorkerCrash, 1, Seconds(2)}};
   ASSERT_TRUE(injector.Schedule(plan).ok());
@@ -760,10 +757,7 @@ TEST(FaultInjectorTest, OverlappingCrashWindowsRestoreAtLastClose) {
   env_options.platform.num_workers = 2;
   env_options.seed = 7;
   faasload::Environment env(faasload::Mode::kOfc, env_options);
-  FaultInjector injector(&env.loop(),
-                         FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                              &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.flight()});
+  FaultInjector& injector = env.faults();
   FaultPlan plan;
   plan.events = {
       FaultEvent{Seconds(1), FaultKind::kWorkerCrash, 1, Seconds(2)},  // Heals at 3.
@@ -792,10 +786,7 @@ TEST(FaultInjectorTest, MachineCrashTakesDownWorkerAndNode) {
   env_options.platform.num_workers = 2;
   env_options.seed = 6;
   faasload::Environment env(faasload::Mode::kOfc, env_options);
-  FaultInjector injector(&env.loop(),
-                         FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                              &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.flight()});
+  FaultInjector& injector = env.faults();
   FaultPlan plan;
   plan.events = {FaultEvent{Seconds(1), FaultKind::kMachineCrash, 0, Seconds(2)}};
   ASSERT_TRUE(injector.Schedule(plan).ok());
@@ -814,10 +805,7 @@ TEST(FaultInjectorTest, CorruptionFiresInstantlyAndCountsDamagedObjects) {
   env_options.platform.num_workers = 2;
   env_options.seed = 8;
   faasload::Environment env(faasload::Mode::kOfc, env_options);
-  FaultInjector injector(&env.loop(),
-                         FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                              &env.ofc()->proxy()},
-                         FaultInjectorOptions{&env.metrics(), &env.flight()});
+  FaultInjector& injector = env.faults();
   // One cache object mastered on node 0, one durable store object. The events
   // fire shortly after the write lands, before the cache agent's sweeps can
   // reclaim the untouched object.

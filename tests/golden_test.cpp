@@ -6,30 +6,26 @@
 // in-process and each artifact is compared byte-for-byte against
 // tests/testdata/goldens/. A second, faulted scenario pins the RAMCloud
 // recovery paths (scrubber quarantine drain and crash recovery) through its
-// metrics snapshot and flight dump. The simulator's determinism guarantee is what
-// makes this sound: the selfcheck harness proves these artifacts are
-// byte-identical across replays, so any diff here is a real format or
-// behavior change — either a regression, or an intentional change that must
-// be re-blessed with tools/update_goldens.py (set OFC_UPDATE_GOLDENS=1 to
-// rewrite the files in place).
+// metrics snapshot and flight dump. Both scenarios are run through
+// faasload::Environment, the same assembly ofc-sim runs. The simulator's
+// determinism guarantee is what makes this sound: the selfcheck harness proves
+// these artifacts are byte-identical across replays, so any diff here is a real
+// format or behavior change — either a regression, or an intentional change
+// that must be re-blessed with tools/update_goldens.py (set
+// OFC_UPDATE_GOLDENS=1 to rewrite the files in place).
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/core/scrubber.h"
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
-#include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/slo.h"
-#include "src/obs/timeline.h"
-#include "src/sim/periodic.h"
 
 namespace ofc {
 namespace {
@@ -41,18 +37,16 @@ bool UpdateMode() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-struct Artifacts {
-  std::string metrics_json;
+// The run's artifacts plus the two exports only the golden scenario pins.
+struct GoldenRun {
+  faasload::RunArtifacts run;
   std::string metrics_csv;
-  std::string timeline_json;
-  std::string health_json;
-  std::string flight_json;
   std::string trace_json;
 };
 
 // The fixed scenario. Anything touched here invalidates the goldens, which is
 // the point: the blessed files pin scenario + exporter behavior together.
-Artifacts RunGoldenScenario() {
+GoldenRun RunGoldenScenario() {
   faasload::EnvironmentOptions options;
   options.seed = 42;
   faasload::Environment env(faasload::Mode::kOfc, options);
@@ -77,35 +71,22 @@ Artifacts RunGoldenScenario() {
     EXPECT_TRUE(injector.AddTenant(spec).ok());
   }
 
-  obs::SloMonitor slo(&env.metrics(), &env.trace(), slo_specs);
-  obs::TimelineRecorder timeline(&env.metrics());
-  sim::PeriodicTask scraper(&env.loop(), Seconds(30), [&slo, &timeline](SimTime now) {
-    slo.Evaluate(now);
-    timeline.Scrape(now);
-  });
-  scraper.Start();
-
+  env.StartTelemetry(Seconds(30), slo_specs);
   injector.PretrainModels(100);
   injector.Run(Minutes(5));
-  scraper.Stop();
-  slo.Evaluate(env.loop().now());
-  timeline.Scrape(env.loop().now());
 
-  Artifacts artifacts;
-  artifacts.metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  artifacts.metrics_csv = env.metrics().SnapshotCsv(env.loop().now());
-  artifacts.timeline_json = timeline.ToJson();
-  artifacts.health_json = slo.HealthJson(env.loop().now());
-  artifacts.flight_json = env.flight().ToJson("golden scenario end-of-run dump");
-  artifacts.trace_json = env.trace().ToJson();
-  return artifacts;
+  GoldenRun golden;
+  golden.run = env.Finish("golden scenario end-of-run dump");
+  golden.metrics_csv = env.metrics().SnapshotCsv(env.loop().now());
+  golden.trace_json = env.trace().ToJson();
+  return golden;
 }
 
 // Shared across tests: the scenario runs once, each artifact gets its own
 // test so a diff names the exporter that moved.
-const Artifacts& GoldenArtifacts() {
-  static const Artifacts artifacts = RunGoldenScenario();
-  return artifacts;
+const GoldenRun& GoldenArtifacts() {
+  static const GoldenRun golden = RunGoldenScenario();
+  return golden;
 }
 
 // The recovery scenario is the run `ofc-sim --duration-min=6
@@ -115,7 +96,9 @@ const Artifacts& GoldenArtifacts() {
 // 1000 pretraining invocations). Repeated corruption makes the scrubber
 // quarantine nodes 0 and 1, then node 2 crashes, so both backup-promotion
 // paths run and their checksum policies, losses and recovery counts are pinned.
-Artifacts RunRecoveryScenario() {
+// tools/obs_smoke_test.py runs that command through the shipped CLI and
+// requires its --metrics-json to equal recovery_metrics.json byte for byte.
+faasload::RunArtifacts RunRecoveryScenario() {
   faasload::EnvironmentOptions options;
   options.platform.num_workers = 4;
   options.platform.worker_memory = GiB(16);
@@ -139,32 +122,17 @@ Artifacts RunRecoveryScenario() {
   auto plan = fault::ParseFaultPlanJson(body.str());
   EXPECT_TRUE(plan.ok()) << plan.status().message();
   plan->Sort();
-  fault::FaultInjector faults(
-      &env.loop(),
-      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                  &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), &env.flight()});
-  EXPECT_TRUE(faults.Schedule(*plan).ok());
-
-  core::ScrubberOptions scrub_options;
-  scrub_options.interval = Seconds(5);
-  scrub_options.metrics = &env.metrics();
-  core::Scrubber scrubber(&env.loop(), env.cluster(), &env.rsds(), scrub_options);
-  scrubber.Start();
+  EXPECT_TRUE(env.faults().Schedule(*plan).ok());
+  EXPECT_TRUE(env.StartScrubber(core::ScrubberOptions{.interval = Seconds(5)}).ok());
 
   injector.PretrainModels(1000);
   injector.Run(Minutes(6));
-  scrubber.Stop();
-
-  Artifacts artifacts;
-  artifacts.metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  artifacts.flight_json = env.flight().ToJson("recovery scenario end-of-run dump");
-  return artifacts;
+  return env.Finish("recovery scenario end-of-run dump");
 }
 
-const Artifacts& RecoveryArtifacts() {
-  static const Artifacts artifacts = RunRecoveryScenario();
-  return artifacts;
+const faasload::RunArtifacts& RecoveryArtifacts() {
+  static const faasload::RunArtifacts run = RunRecoveryScenario();
+  return run;
 }
 
 void CompareOrUpdate(const std::string& name, const std::string& actual) {
@@ -205,17 +173,23 @@ void CompareOrUpdate(const std::string& name, const std::string& actual) {
          << "\nIf the change is intentional, re-bless with tools/update_goldens.py";
 }
 
-TEST(GoldenTest, MetricsJson) { CompareOrUpdate("metrics.json", GoldenArtifacts().metrics_json); }
+TEST(GoldenTest, MetricsJson) {
+  CompareOrUpdate("metrics.json", GoldenArtifacts().run.metrics_json);
+}
 
 TEST(GoldenTest, MetricsCsv) { CompareOrUpdate("metrics.csv", GoldenArtifacts().metrics_csv); }
 
 TEST(GoldenTest, TimelineJson) {
-  CompareOrUpdate("timeline.json", GoldenArtifacts().timeline_json);
+  CompareOrUpdate("timeline.json", GoldenArtifacts().run.timeline_json);
 }
 
-TEST(GoldenTest, HealthJson) { CompareOrUpdate("health.json", GoldenArtifacts().health_json); }
+TEST(GoldenTest, HealthJson) {
+  CompareOrUpdate("health.json", GoldenArtifacts().run.health_json);
+}
 
-TEST(GoldenTest, FlightJson) { CompareOrUpdate("flight.json", GoldenArtifacts().flight_json); }
+TEST(GoldenTest, FlightJson) {
+  CompareOrUpdate("flight.json", GoldenArtifacts().run.flight_json);
+}
 
 TEST(GoldenTest, TraceJson) { CompareOrUpdate("trace.json", GoldenArtifacts().trace_json); }
 

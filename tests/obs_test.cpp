@@ -448,20 +448,10 @@ TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
   faasload::EnvironmentOptions options;
   options.seed = 42;
   faasload::Environment env(faasload::Mode::kOfc, options);
-  core::ScrubberOptions scrub_options;
-  scrub_options.metrics = &env.metrics();
-  core::Scrubber scrubber(&env.loop(), env.cluster(), &env.rsds(), scrub_options);
-  fault::FaultInjectorOptions fault_options;
-  fault_options.metrics = &env.metrics();
-  fault::FaultInjector faults(
-      &env.loop(),
-      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                  &env.ofc()->proxy()},
-      fault_options);
   fault::FaultPlan plan;
   plan.events.push_back({Seconds(60), fault::FaultKind::kCorruptReplica, 0, 0, 4.0});
   plan.events.push_back({Seconds(90), fault::FaultKind::kWorkerCrash, 1, Seconds(30)});
-  ASSERT_TRUE(faults.Schedule(plan).ok());
+  ASSERT_TRUE(env.faults().Schedule(plan).ok());
 
   faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, /*seed=*/43);
   for (const char* function : {"wand_blur", "wand_sepia", "wand_edge"}) {
@@ -472,7 +462,8 @@ TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
     ASSERT_TRUE(injector.AddTenant(spec).ok());
   }
   injector.PretrainModels(100);
-  scrubber.Start();
+  const Result<core::Scrubber*> scrubber = env.StartScrubber({});
+  ASSERT_TRUE(scrubber.ok());
   injector.Run(Minutes(5));
 
   CounterListAudit audit(env.metrics());
@@ -498,11 +489,11 @@ TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
     OFC_CLUSTER_COUNTERS(AUDIT_COUNTER_ROW)
   }
   {
-    const core::ScrubberStats view = scrubber.stats();
+    const core::ScrubberStats view = (*scrubber)->stats();
     OFC_SCRUBBER_COUNTERS(AUDIT_COUNTER_ROW)
   }
   {
-    const fault::FaultStats view = faults.stats();
+    const fault::FaultStats view = env.faults().stats();
     OFC_FAULT_COUNTERS(AUDIT_COUNTER_ROW)
   }
   label = env.rsds().name();  // Store rows are labelled with the store's name.

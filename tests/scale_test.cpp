@@ -13,16 +13,15 @@
 #include <chrono>  // simlint: allow(wall-clock) -- asserts the simulator's real throughput, not simulated time
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/checksum.h"
-#include "src/core/scrubber.h"
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
-#include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/workloads/scale_trace.h"
+#include "tests/chaos_harness.h"
 
 namespace ofc {
 namespace {
@@ -160,26 +159,18 @@ TEST(ScaleTest, IntegrityHoldsThroughBitFlipStormAtScale) {
     }
   }
   plan.Sort();
-  fault::FaultInjector fault_injector(
-      &env.loop(),
-      fault::FaultInjectorTargets{&env.platform(), env.cluster(), &env.rsds(),
-                                  &env.ofc()->proxy()},
-      fault::FaultInjectorOptions{&env.metrics(), nullptr});
-  ASSERT_TRUE(fault_injector.Schedule(plan).ok());
+  ASSERT_TRUE(env.faults().Schedule(plan).ok());
 
   core::ScrubberOptions scrub_options;
   scrub_options.interval = Seconds(5);
   scrub_options.objects_per_cycle = 4096;  // The store accumulates ~50k outputs.
   scrub_options.quarantine_threshold = 0;  // Keep all 8 nodes for the trace.
-  scrub_options.metrics = &env.metrics();
-  core::Scrubber scrubber(&env.loop(), env.cluster(), &env.rsds(), scrub_options);
-  scrubber.Start();
+  ASSERT_TRUE(env.StartScrubber(scrub_options).ok());
 
   injector.Run(static_cast<SimDuration>(trace_options.duration_s * 1e6));
   // Post-trace drain: enough full scrub passes to cover every store object
   // even if the last rot landed just before the trace ended.
   env.loop().RunUntil(env.loop().now() + Minutes(5));
-  scrubber.Stop();
 
   EXPECT_EQ(injector.invocations_fired(), injector.invocations_completed());
   EXPECT_GT(injector.invocations_fired(), kTargetInvocations / 2);
@@ -192,29 +183,7 @@ TEST(ScaleTest, IntegrityHoldsThroughBitFlipStormAtScale) {
                 env.metrics().CounterTotal("ofc.integrity.store_checksum_failures"),
             0u);
   // End-state sweep: every surviving cache copy and store object verifies.
-  rc::Cluster* cluster = env.cluster();
-  for (int node = 0; node < cluster->num_nodes(); ++node) {
-    for (const std::string& key : cluster->KeysOn(node)) {
-      const auto obj = cluster->Inspect(key);
-      if (!obj.ok()) {
-        continue;
-      }
-      const Checksum expected = ExpectedChecksum(key, obj->size, obj->version);
-      EXPECT_EQ(obj->checksum, expected) << "corrupt master copy survived: " << key;
-      for (const Checksum backup : obj->backup_checksums) {
-        EXPECT_EQ(backup, expected) << "corrupt backup copy survived: " << key;
-      }
-    }
-  }
-  int corrupt_store_objects = 0;
-  for (const std::string& key : env.rsds().Keys()) {
-    const auto meta = env.rsds().Stat(key);
-    if (meta.ok() &&
-        meta->checksum != ExpectedChecksum(key, meta->size, meta->rsds_version)) {
-      ++corrupt_store_objects;
-    }
-  }
-  EXPECT_EQ(corrupt_store_objects, 0);
+  EXPECT_EQ(chaos::CorruptCopies(env), std::vector<std::string>{});
 }
 
 TEST(ScaleTest, DifferentSeedsProduceDifferentSchedules) {

@@ -17,7 +17,13 @@ Drives the built CLI binary through the telemetry paths CI cares about:
      caused;
   5. malformed or out-of-range numeric flags, names outside a choice list and
      a bare switch given a value exit nonzero with a message naming the flag
-     (never a crash, never a silent empty run).
+     (never a crash, never a silent empty run);
+  6. the shipped CLI reproduces the in-process recovery golden: the run
+     tests/golden_test.cpp pins (scrubber quarantines, then a node crash)
+     writes a --metrics-json byte-identical to
+     tests/testdata/goldens/recovery_metrics.json;
+  7. --scrub-interval-s without a cache cluster (--mode=owk-swift) exits 1
+     with a message naming the flag.
 
 Usage: obs_smoke_test.py <path-to-ofc-sim> [--keep-artifacts DIR]
 Exit status: 0 clean, 1 failure, 2 usage error.
@@ -28,6 +34,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTDATA = os.path.join(REPO, "tests", "testdata")
 
 SLO_SPEC = ("warm=lat:ofc.platform.total_ms:p99:250;"
             "shed=rate:ofc.overload.shed/ofc.platform.invocations:0.005")
@@ -144,6 +153,33 @@ def check_bad_numeric_flags(binary):
                  f"{proc.stderr.strip()!r}")
 
 
+def check_recovery_golden(binary, outdir):
+    metrics = os.path.join(outdir, "recovery_metrics.json")
+    plan = os.path.join(TESTDATA, "fault_plans", "valid",
+                        "quarantine_and_crash.json")
+    proc = run(binary, ["--duration-min=6", "--scrub-interval-s=5",
+                        f"--fault-plan={plan}", f"--metrics-json={metrics}"])
+    if proc.returncode != 0:
+        fail(f"recovery run exited {proc.returncode}: {proc.stderr.strip()}")
+        return
+    golden = os.path.join(TESTDATA, "goldens", "recovery_metrics.json")
+    with open(metrics, "rb") as f, open(golden, "rb") as g:
+        if f.read() != g.read():
+            fail("the CLI's recovery --metrics-json differs from "
+                 "tests/testdata/goldens/recovery_metrics.json; the in-process "
+                 "golden and the shipped CLI have drifted apart")
+
+
+def check_scrubber_needs_cluster(binary):
+    proc = run(binary, ["--mode=owk-swift", "--scrub-interval-s=5"])
+    if proc.returncode != 1:
+        fail(f"--mode=owk-swift --scrub-interval-s=5 exited "
+             f"{proc.returncode}; expected 1")
+    if "--scrub-interval-s needs a cache cluster" not in proc.stderr:
+        fail(f"--mode=owk-swift --scrub-interval-s=5: stderr does not say the "
+             f"scrubber needs a cache cluster: {proc.stderr.strip()!r}")
+
+
 def main():
     if len(sys.argv) < 2:
         print(__doc__, file=sys.stderr)
@@ -158,6 +194,8 @@ def main():
         check_breach_dump(binary, outdir)
         check_fault_records(binary, outdir)
         check_bad_numeric_flags(binary)
+        check_recovery_golden(binary, outdir)
+        check_scrubber_needs_cluster(binary)
     if _failures:
         print(f"obs_smoke_test: {len(_failures)} failure(s)", file=sys.stderr)
         return 1

@@ -30,14 +30,11 @@
 #include "src/common/logging.h"
 #include "src/common/sim_assert.h"
 #include "src/common/stats.h"
-#include "src/core/scrubber.h"
 #include "src/faasload/environment.h"
 #include "src/faasload/injector.h"
-#include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/export_util.h"
 #include "src/obs/slo.h"
-#include "src/obs/timeline.h"
 #include "src/sim/periodic.h"
 
 namespace ofc {
@@ -55,7 +52,10 @@ constexpr FlagChoice<faasload::ArrivalPattern> kArrivalChoices[] = {
 
 // What the flags set. FlagTable() binds each field, and its help text says what
 // the field does; a zero duration, count or capacity means off or unbounded.
+// The stack's settings bind straight into `env`, except the worker memory,
+// which --worker-gb gives in GiB.
 struct Flags {
+  faasload::EnvironmentOptions env;
   faasload::Mode mode = faasload::Mode::kOfc;
   faasload::TenantProfile profile = faasload::TenantProfile::kNormal;
   std::vector<std::string> functions;
@@ -63,9 +63,7 @@ struct Flags {
   faasload::ArrivalPattern arrivals = faasload::ArrivalPattern::kExponential;
   int duration_min = 10;
   SimDuration interval = Seconds(30);
-  int workers = 4;
   int worker_gb = 16;
-  std::uint64_t seed = 42;
   int pretrain = 1000;
   std::string metrics_json;
   std::string metrics_csv;
@@ -82,29 +80,10 @@ struct Flags {
   SimTime inject_breach_at = 0;
   fault::FaultPlan fault_plan;
   SimDuration scrub_interval = 0;
-  std::size_t queue_limit = 0;
-  SimDuration queue_deadline = 0;
-  int max_concurrency = 0;
-  int breaker_threshold = 0;
-  SimDuration breaker_open = Seconds(5);
-  int breaker_probes = 3;
-  SimDuration breaker_slo = 0;
   bool progress = false;
   std::uint64_t max_events = 0;
   bool selfcheck = false;
   bool selfcheck_perturb = false;
-};
-
-// What a run leaves behind for comparison: the full metrics snapshot plus the
-// event-loop fingerprint (final simulated time, total events scheduled).
-struct RunOutcome {
-  std::string metrics_json;
-  std::string timeline_json;  // Empty when no telemetry scraping was on.
-  std::string health_json;    // Empty when no scraping/SLOs were on.
-  std::string flight_json;    // Empty when the flight recorder was off.
-  SimTime final_time = 0;
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t invocations = 0;
 };
 
 // Reads `path` fully into `*out`; returns false (with a message) on failure.
@@ -205,9 +184,9 @@ std::vector<FlagRow> FlagTable(Flags* f) {
     {"Scenario", "--arrivals=poisson|periodic|bursty", "Inter-arrival process per tenant (default poisson).", ChoiceFlag(&f->arrivals, kArrivalChoices)},
     {"Scenario", "--duration-min=N", "Simulated run length in minutes (default 10).", NumberFlag(&f->duration_min, 1)},
     {"Scenario", "--interval-s=N", "Mean inter-arrival interval per tenant in seconds (default 30).", DurationFlag(&f->interval, Seconds(1), /*above=*/true)},
-    {"Scenario", "--workers=N", "Number of worker nodes (default 4).", NumberFlag(&f->workers, 1)},
+    {"Scenario", "--workers=N", "Number of worker nodes (default 4).", NumberFlag(&f->env.platform.num_workers, 1)},
     {"Scenario", "--worker-gb=N", "Memory per worker in GiB (default 16).", NumberFlag(&f->worker_gb, 1)},
-    {"Scenario", "--seed=N", "Root RNG seed; same seed + same flags = byte-identical run (default 42).", NumberFlag(&f->seed, 0)},
+    {"Scenario", "--seed=N", "Root RNG seed; same seed + same flags = byte-identical run (default 42).", NumberFlag(&f->env.seed, 0)},
     {"Scenario", "--pretrain=N", "Offline pretraining invocations per function before the run (default 1000).", NumberFlag(&f->pretrain, 0)},
     {"Observability", "--metrics-json=PATH", "Write the end-of-run metrics snapshot as JSON.", PathFlag(&f->metrics_json)},
     {"Observability", "--metrics-csv=PATH", "Write the end-of-run metrics snapshot as CSV (one row per cell).", PathFlag(&f->metrics_csv)},
@@ -224,13 +203,13 @@ std::vector<FlagRow> FlagTable(Flags* f) {
     {"Fault injection", "--fault-plan=PATH", "Replay a declarative JSON fault schedule alongside the workload.", FaultPlanFlag(&f->fault_plan)},
     {"Fault injection", "--crash-node-at=N:S[:D]", "Crash node N at S seconds, restart after D seconds (omitted/0 = stays down).", CrashNodeAtFlag(&f->fault_plan)},
     {"Fault injection", "--scrub-interval-s=S", "Arm the background integrity scrubber with the given period (OFC mode only).", DurationFlag(&f->scrub_interval, Seconds(1), /*above=*/true)},
-    {"Overload protection", "--queue-limit=N", "Platform admission queue depth bound (0 = unbounded).", NumberFlag(&f->queue_limit, 0)},
-    {"Overload protection", "--queue-deadline-s=S", "Shed queued invocations older than S seconds (0 = never).", DurationFlag(&f->queue_deadline, Seconds(1))},
-    {"Overload protection", "--max-concurrency=N", "Per-function concurrent invocation cap (0 = unbounded).", NumberFlag(&f->max_concurrency, 0)},
-    {"Overload protection", "--breaker-threshold=N", "Cache-path circuit breaker: open after N consecutive failures (0 = disabled).", NumberFlag(&f->breaker_threshold, 0)},
-    {"Overload protection", "--breaker-open-s=S", "Breaker open-state duration before half-open probing (default 5).", DurationFlag(&f->breaker_open, Seconds(1))},
-    {"Overload protection", "--breaker-probes=N", "Successful half-open probes required to close the breaker (default 3).", NumberFlag(&f->breaker_probes, 1)},
-    {"Overload protection", "--breaker-slo-ms=MS", "Treat cache reads slower than MS as breaker failures (0 = latency ignored).", DurationFlag(&f->breaker_slo, Millis(1))},
+    {"Overload protection", "--queue-limit=N", "Platform admission queue depth bound (0 = unbounded).", NumberFlag(&f->env.platform.max_queue_depth, 0)},
+    {"Overload protection", "--queue-deadline-s=S", "Shed queued invocations older than S seconds (0 = never).", DurationFlag(&f->env.platform.queue_deadline, Seconds(1))},
+    {"Overload protection", "--max-concurrency=N", "Per-function concurrent invocation cap (0 = unbounded).", NumberFlag(&f->env.platform.max_concurrency_per_function, 0)},
+    {"Overload protection", "--breaker-threshold=N", "Cache-path circuit breaker: open after N consecutive failures (0 = disabled).", NumberFlag(&f->env.ofc.proxy.breaker_failure_threshold, 0)},
+    {"Overload protection", "--breaker-open-s=S", "Breaker open-state duration before half-open probing (default 5).", DurationFlag(&f->env.ofc.proxy.breaker_open_duration, Seconds(1))},
+    {"Overload protection", "--breaker-probes=N", "Successful half-open probes required to close the breaker (default 3).", NumberFlag(&f->env.ofc.proxy.breaker_half_open_probes, 1)},
+    {"Overload protection", "--breaker-slo-ms=MS", "Treat cache reads slower than MS as breaker failures (0 = latency ignored).", DurationFlag(&f->env.ofc.proxy.breaker_latency_slo, Millis(1))},
     {"Run guards", "--progress", "Print a liveness heartbeat to stderr every tenth of the horizon.", SwitchFlag(&f->progress)},
     {"Run guards", "--max-events=N", "Cap the event loop's dispatch budget; a runaway run truncates instead of spinning.", NumberFlag(&f->max_events, 1)},
     {"Self-checks", "--selfcheck-determinism", "Replay the scenario twice (perturbed hash salt) and diff all artifacts; nonzero exit on divergence.", SwitchFlag(&f->selfcheck)},
@@ -256,21 +235,13 @@ std::string Catalog() {
 // Runs the scenario described by `flags` once. `run_index` identifies the
 // replay for the selfcheck harness; `quiet` suppresses the human-readable
 // report. Returns 0 on success and fills `out`.
-int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutcome* out) {
-  // The deliberate bug behind --selfcheck-perturb: a replay-dependent seed.
-  const std::uint64_t seed = flags.seed + (flags.selfcheck_perturb ? run_index : 0);
-
-  faasload::EnvironmentOptions env_options;
-  env_options.platform.num_workers = flags.workers;
+int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index,
+                faasload::RunArtifacts* out) {
+  faasload::EnvironmentOptions env_options = flags.env;
   env_options.platform.worker_memory = GiB(flags.worker_gb);
-  env_options.platform.max_queue_depth = flags.queue_limit;
-  env_options.platform.queue_deadline = flags.queue_deadline;
-  env_options.platform.max_concurrency_per_function = flags.max_concurrency;
-  env_options.ofc.proxy.breaker_failure_threshold = flags.breaker_threshold;
-  env_options.ofc.proxy.breaker_open_duration = flags.breaker_open;
-  env_options.ofc.proxy.breaker_half_open_probes = flags.breaker_probes;
-  env_options.ofc.proxy.breaker_latency_slo = flags.breaker_slo;
-  env_options.seed = seed;
+  // The deliberate bug behind --selfcheck-perturb: a replay-dependent seed.
+  env_options.seed += flags.selfcheck_perturb ? run_index : 0;
+  const std::uint64_t seed = env_options.seed;
   faasload::Environment env(flags.mode, env_options);
   if (!flags.trace_json.empty()) {
     env.trace().set_enabled(true);
@@ -335,56 +306,20 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     }
   }
 
-  std::unique_ptr<fault::FaultInjector> faults;
   if (!flags.fault_plan.empty()) {
-    fault::FaultInjectorTargets targets;
-    targets.platform = &env.platform();
-    targets.cluster = env.cluster();  // Null in baseline modes: node faults reject.
-    targets.rsds = &env.rsds();
-    targets.proxy = env.ofc() != nullptr ? &env.ofc()->proxy() : nullptr;
-    faults = std::make_unique<fault::FaultInjector>(
-        &env.loop(), targets,
-        fault::FaultInjectorOptions{&env.metrics(), &env.flight()});
-    env.trace().SetProcessName(obs::kPidFaults, "fault-injector");
-    if (Status scheduled = faults->Schedule(flags.fault_plan); !scheduled.ok()) {
+    if (Status scheduled = env.faults().Schedule(flags.fault_plan); !scheduled.ok()) {
       std::fprintf(stderr, "fault plan: %s\n", scheduled.message().c_str());
       return 1;
     }
   }
-
-  // Background integrity scrubber: needs the cache cluster, so OFC mode only.
-  std::unique_ptr<core::Scrubber> scrubber;
-  if (flags.scrub_interval > 0) {
-    if (env.cluster() == nullptr) {
-      std::fprintf(stderr, "--scrub-interval-s needs a cache cluster (--mode=ofc)\n");
-      return 1;
-    }
-    core::ScrubberOptions scrub_options;
-    scrub_options.interval = flags.scrub_interval;
-    scrub_options.metrics = &env.metrics();
-    scrubber = std::make_unique<core::Scrubber>(&env.loop(), env.cluster(), &env.rsds(),
-                                                scrub_options);
-    scrubber->Start();
+  if (flags.scrub_interval > 0 &&
+      !env.StartScrubber(core::ScrubberOptions{.interval = flags.scrub_interval}).ok()) {
+    std::fprintf(stderr, "--scrub-interval-s needs a cache cluster (--mode=ofc)\n");
+    return 1;
   }
-
-  // Telemetry scrape loop: SLO evaluation folds the interval first so the
-  // ofc.slo.* cells land in the same timeline window the scrape captures.
-  const bool scraping = !flags.timeline_json.empty() || !flags.health_json.empty() ||
-                        !flags.slo_specs.empty();
-  std::unique_ptr<obs::TimelineRecorder> timeline;
-  std::unique_ptr<obs::SloMonitor> slo;
-  std::unique_ptr<sim::PeriodicTask> scraper;
-  if (scraping) {
-    slo = std::make_unique<obs::SloMonitor>(
-        &env.metrics(), flags.trace_json.empty() ? nullptr : &env.trace(), flags.slo_specs);
-    timeline = std::make_unique<obs::TimelineRecorder>(&env.metrics());
-    scraper = std::make_unique<sim::PeriodicTask>(
-        &env.loop(), flags.scrape_interval,
-        [&slo, &timeline](SimTime now) {
-          slo->Evaluate(now);
-          timeline->Scrape(now);
-        });
-    scraper->Start();
+  if (!flags.timeline_json.empty() || !flags.health_json.empty() ||
+      !flags.slo_specs.empty()) {
+    env.StartTelemetry(flags.scrape_interval, flags.slo_specs);
   }
 
   if (flags.inject_breach_at > 0) {
@@ -399,7 +334,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
     std::printf("mode=%s profile=%s workers=%dx%dGiB duration=%dmin seed=%llu\n\n",
                 faasload::ModeName(flags.mode).c_str(),
                 faasload::TenantProfileName(flags.profile).c_str(),
-                flags.workers, flags.worker_gb, flags.duration_min,
+                env_options.platform.num_workers, flags.worker_gb, flags.duration_min,
                 static_cast<unsigned long long>(seed));
     if (!flags.fault_plan.empty()) {
       std::printf("fault plan: %zu events: %s\n\n", flags.fault_plan.size(),
@@ -440,15 +375,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
                  static_cast<unsigned long long>(injector.invocations_fired() -
                                                  injector.invocations_completed()));
   }
-  if (scrubber != nullptr) {
-    scrubber->Stop();
-  }
-  if (scraper != nullptr) {
-    scraper->Stop();
-    // Final partial window: capture the tail between the last tick and drain.
-    slo->Evaluate(env.loop().now());
-    timeline->Scrape(env.loop().now());
-  }
+  *out = env.Finish();
 
   if (!quiet) {
     std::printf("%-24s %-7s %-12s %-12s %-12s %-9s\n", "tenant", "runs", "median (ms)",
@@ -490,7 +417,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
       std::printf("  cache used/capacity  %s / %s\n",
                   FormatBytes(env.cluster()->TotalUsed()).c_str(),
                   FormatBytes(env.cluster()->TotalCapacity()).c_str());
-      if (flags.breaker_threshold > 0) {
+      if (env_options.ofc.proxy.breaker_failure_threshold > 0) {
         std::printf("  breaker              %llu opens, %llu closes, "
                     "%llu bypassed reads, %llu bypassed writes\n",
                     static_cast<unsigned long long>(proxy.breaker_opens),
@@ -510,6 +437,7 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
                 static_cast<unsigned long long>(platform.shed_requests));
   }
 
+  const obs::SloMonitor* slo = env.slo();
   if (!quiet && slo != nullptr && !slo->specs().empty()) {
     std::printf("\nSLOs: worst burn %.2f, %llu alert(s) fired\n", slo->worst_burn(),
                 static_cast<unsigned long long>(slo->alerts_fired()));
@@ -525,20 +453,6 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
       }
     }
   }
-
-  out->metrics_json = env.metrics().SnapshotJson(env.loop().now());
-  if (timeline != nullptr) {
-    out->timeline_json = timeline->ToJson();
-  }
-  if (slo != nullptr) {
-    out->health_json = slo->HealthJson(env.loop().now());
-  }
-  if (flight_on) {
-    out->flight_json = env.flight().ToJson("end_of_run");
-  }
-  out->final_time = env.loop().now();
-  out->events_scheduled = env.loop().total_scheduled();
-  out->invocations = env.platform().stats().invocations;
 
   bool ok = true;
   const struct {
@@ -579,8 +493,8 @@ int RunScenario(const Flags& flags, bool quiet, std::uint64_t run_index, RunOutc
 // pair in the report. Exit: 0 identical, 1 divergence.
 int SelfcheckPair(const Flags& flags, const char* label) {
   constexpr std::uint64_t kPerturbedSalt = 0x9e3779b97f4a7c15ull;
-  RunOutcome first;
-  RunOutcome second;
+  faasload::RunArtifacts first;
+  faasload::RunArtifacts second;
 
   SetHashSalt(0);
   int rc = RunScenario(flags, /*quiet=*/true, /*run_index=*/0, &first);
@@ -594,58 +508,14 @@ int SelfcheckPair(const Flags& flags, const char* label) {
     return rc;
   }
 
-  bool identical = true;
-  if (first.final_time != second.final_time) {
-    std::fprintf(stderr, "selfcheck[%s]: final sim time diverged: %lld vs %lld us\n",
-                 label, static_cast<long long>(first.final_time),
-                 static_cast<long long>(second.final_time));
-    identical = false;
-  }
-  if (first.events_scheduled != second.events_scheduled) {
-    std::fprintf(stderr, "selfcheck[%s]: event count diverged: %llu vs %llu\n",
-                 label, static_cast<unsigned long long>(first.events_scheduled),
-                 static_cast<unsigned long long>(second.events_scheduled));
-    identical = false;
-  }
-  if (first.invocations != second.invocations) {
-    std::fprintf(stderr, "selfcheck[%s]: invocation count diverged: %llu vs %llu\n",
-                 label, static_cast<unsigned long long>(first.invocations),
-                 static_cast<unsigned long long>(second.invocations));
-    identical = false;
-  }
   // Every artifact a replay can leave behind must be byte-identical: the
   // end-of-run metrics snapshot plus (when enabled) the windowed timeline, the
   // SLO health summary, and the flight-recorder ring.
-  const struct {
-    const char* what;
-    const std::string& a;
-    const std::string& b;
-  } artifacts[] = {
-      {"metrics JSON", first.metrics_json, second.metrics_json},
-      {"timeline JSON", first.timeline_json, second.timeline_json},
-      {"health JSON", first.health_json, second.health_json},
-      {"flight JSON", first.flight_json, second.flight_json},
-  };
-  for (const auto& artifact : artifacts) {
-    if (artifact.a == artifact.b) {
-      continue;
-    }
-    // Point at the first differing line to make the divergence debuggable.
-    std::size_t pos = 0;
-    int line = 1;
-    while (pos < artifact.a.size() && pos < artifact.b.size() &&
-           artifact.a[pos] == artifact.b[pos]) {
-      if (artifact.a[pos] == '\n') {
-        ++line;
-      }
-      ++pos;
-    }
-    std::fprintf(stderr, "selfcheck[%s]: %s diverged at line %d (byte %zu)\n", label,
-                 artifact.what, line, pos);
-    identical = false;
+  const std::vector<std::string> diffs = first.Diff(second);
+  for (const std::string& diff : diffs) {
+    std::fprintf(stderr, "selfcheck[%s]: %s\n", label, diff.c_str());
   }
-
-  if (!identical) {
+  if (!diffs.empty()) {
     std::fprintf(stderr, "selfcheck-determinism[%s]: FAIL — replays diverged\n", label);
     return 1;
   }
@@ -672,7 +542,7 @@ int RunSelfcheck(const Flags& flags) {
   chaos.fault_plan.events = {
       {Seconds(40), fault::FaultKind::kStoreBrownout, -1, Seconds(30), 4.0},
       {Seconds(60), fault::FaultKind::kNodeCrash,
-       flags.workers > 1 ? 1 : 0, Seconds(20), 2.0},
+       flags.env.platform.num_workers > 1 ? 1 : 0, Seconds(20), 2.0},
       {Seconds(75), fault::FaultKind::kWorkerCrash, 0, Seconds(10), 2.0},
       {Seconds(90), fault::FaultKind::kPersistorDrop, -1, Seconds(15), 2.0},
   };
@@ -686,11 +556,11 @@ int RunSelfcheck(const Flags& flags) {
   Flags overload = flags;
   overload.arrivals = faasload::ArrivalPattern::kBursty;
   overload.interval = std::min(flags.interval, Seconds(5));
-  overload.queue_limit = 8;
-  overload.queue_deadline = Seconds(2);
-  overload.breaker_threshold = 3;
-  overload.breaker_open = Seconds(10);
-  overload.breaker_probes = 2;
+  overload.env.platform.max_queue_depth = 8;
+  overload.env.platform.queue_deadline = Seconds(2);
+  overload.env.ofc.proxy.breaker_failure_threshold = 3;
+  overload.env.ofc.proxy.breaker_open_duration = Seconds(10);
+  overload.env.ofc.proxy.breaker_half_open_probes = 2;
   overload.fault_plan.events = {
       {Seconds(30), fault::FaultKind::kStoreBrownout, -1, Seconds(60), 4.0},
       {Seconds(45), fault::FaultKind::kCacheDegraded, -1, Seconds(40), 2.0},
@@ -707,7 +577,7 @@ int RunSelfcheck(const Flags& flags) {
   corruption.fault_plan.events = {
       {Seconds(30), fault::FaultKind::kCorruptSegment, 0, 0, 3.0},
       {Seconds(50), fault::FaultKind::kCorruptReplica,
-       flags.workers > 1 ? 1 : 0, 0, 3.0},
+       flags.env.platform.num_workers > 1 ? 1 : 0, 0, 3.0},
       {Seconds(70), fault::FaultKind::kStoreRot, -1, 0, 4.0},
   };
   return SelfcheckPair(corruption, "corruption");
@@ -728,8 +598,8 @@ int Main(int argc, char** argv) {
   if (flags.selfcheck || flags.selfcheck_perturb) {
     return RunSelfcheck(flags);
   }
-  RunOutcome outcome;
-  return RunScenario(flags, /*quiet=*/false, /*run_index=*/0, &outcome);
+  faasload::RunArtifacts run;
+  return RunScenario(flags, /*quiet=*/false, /*run_index=*/0, &run);
 }
 
 }  // namespace ofc

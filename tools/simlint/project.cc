@@ -96,8 +96,8 @@ void SortFindings(std::vector<Finding>* findings) {
 // Subsystem → the subsystems it may include. Derived from (and enforcing) the
 // architecture documented in DESIGN.md §8: common at the bottom; sim/obs/ml
 // above it; workloads over ml; ramcloud/store over sim+obs; faas over
-// store+workloads; core over everything below it; fault and faasload drive the
-// assembled system from the top.
+// store+workloads; core over everything below it; fault perturbs the assembled
+// system; faasload, at the top, assembles it and attaches the fault injector.
 const std::map<std::string, std::set<std::string>>& LayerDag() {
   static const std::map<std::string, std::set<std::string>> dag = {
       {"common", {}},
@@ -111,7 +111,7 @@ const std::map<std::string, std::set<std::string>>& LayerDag() {
       {"core", {"common", "sim", "obs", "ml", "ramcloud", "store", "workloads", "faas"}},
       {"fault", {"common", "sim", "obs", "ramcloud", "store", "faas", "core"}},
       {"faasload",
-       {"common", "sim", "obs", "ramcloud", "store", "workloads", "faas", "core"}},
+       {"common", "sim", "obs", "ramcloud", "store", "workloads", "faas", "core", "fault"}},
   };
   return dag;
 }

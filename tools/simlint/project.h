@@ -5,7 +5,7 @@
 //
 //   layer-cycle        The architecture DAG over src/ subsystems:
 //                        common → {sim, obs, ml} → workloads → {ramcloud,
-//                        store} → faas → core → {fault, faasload}
+//                        store} → faas → core → fault → faasload
 //                      (each subsystem may include only the subsystems listed
 //                      for it in kLayerDag). Upward includes, includes of
 //                      unknown subsystems, and file-level include cycles are
