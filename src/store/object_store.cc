@@ -395,7 +395,7 @@ int ObjectStore::ScrubKey(const std::string& key) {
   }
   ObjectMetadata& obj = it->second;
   const Checksum expected = ExpectedChecksum(key, obj.size, obj.rsds_version);
-  if (obj.checksum == expected) {
+  if (!obj.HasPayload() || obj.checksum == expected) {
     return 0;
   }
   ++*m_.checksum_failures;

@@ -56,6 +56,9 @@ struct ObjectMetadata {
 
   // A shadow object's payload has not yet been persisted by a persistor task.
   bool IsShadow() const { return rsds_version < latest_version; }
+  // False for a fresh PutShadow placeholder: no payload has landed, so there is
+  // no checksum to verify yet.
+  bool HasPayload() const { return rsds_version > 0; }
 };
 
 // The store's plain counters: X(view field, registry family[, view type]).

@@ -161,7 +161,8 @@ inline std::vector<std::string> CorruptCopies(faasload::Environment& env) {
   }
   for (const std::string& key : env.rsds().Keys()) {
     const auto meta = env.rsds().Stat(key);
-    if (meta.ok() && meta->checksum != ExpectedChecksum(key, meta->size, meta->rsds_version)) {
+    if (meta.ok() && meta->HasPayload() &&
+        meta->checksum != ExpectedChecksum(key, meta->size, meta->rsds_version)) {
       corrupt.push_back("I6: store object " + key + " still corrupt after drain");
     }
   }

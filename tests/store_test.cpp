@@ -242,6 +242,17 @@ TEST_F(StoreTest, ScrubKeyRepairsOnceAndIgnoresUnknownKeys) {
   EXPECT_EQ(store_.stats().integrity_repairs, 1u);
 }
 
+// A fresh PutShadow placeholder has no payload yet, so there is nothing to
+// verify: the scrubber must not report or "repair" it as corrupt.
+TEST_F(StoreTest, ScrubKeyLeavesPayloadlessPlaceholderAlone) {
+  store_.PutShadow("c/obj", MiB(1), [](Result<ObjectMetadata>) {});
+  loop_.Run();
+  ASSERT_FALSE(store_.Stat("c/obj")->HasPayload());
+  EXPECT_EQ(store_.ScrubKey("c/obj"), 0);
+  EXPECT_EQ(store_.stats().checksum_failures, 0u);
+  EXPECT_EQ(store_.stats().integrity_repairs, 0u);
+}
+
 TEST_F(StoreTest, PutIfVersionRejectsCorruptFingerprint) {
   store_.Put("c/a", KiB(4), {}, [](Status) {});
   loop_.Run();
