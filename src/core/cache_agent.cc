@@ -7,45 +7,24 @@
 
 namespace ofc::core {
 
-namespace {
-
-// Wire names of CacheAgent::EvictionReason, in enum order.
-constexpr const char* kEvictionReasonNames[] = {"persisted_discard", "capacity", "sweep"};
-
-}  // namespace
-
 CacheAgent::CacheAgent(sim::EventLoop* loop, rc::Cluster* cluster, CacheAgentOptions options)
-    : loop_(loop), cluster_(cluster), options_(options) {
+    : loop_(loop),
+      cluster_(cluster),
+      options_(options),
+      metrics_(options.metrics),
+      flight_(options.flight) {
   const std::size_t n = static_cast<std::size_t>(cluster_->num_nodes());
   hoard_.assign(n, 0);
   limits_.assign(n, 0);
   slack_.assign(n, options_.initial_slack);
   churn_accum_.assign(n, 0);
   churn_windows_.assign(n, SlidingTimeWindow(options_.churn_window));
-
-  metrics_ = options_.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  flight_ = options_.flight;
-  m_.BindCounters(*metrics_);
-  m_.scale_up_time_us = metrics_->GetGauge("ofc.cache_agent.scale_up_time_us");
-  m_.scale_down_time_us = metrics_->GetGauge("ofc.cache_agent.scale_down_time_us");
-  m_.migration_ms = metrics_->GetSeries("ofc.cache_agent.migration_ms");
-  for (int reason = 0; reason < kNumEvictionReasons; ++reason) {
-    m_.evictions[reason] =
-        metrics_->GetCounter("ofc.policy.evictions", kEvictionReasonNames[reason]);
-    m_.bytes_evicted[reason] =
-        metrics_->GetCounter("ofc.policy.bytes_evicted", kEvictionReasonNames[reason]);
-  }
+  m_.Bind(*metrics_);
 }
 
 CacheScalingStats CacheAgent::stats() const {
   CacheScalingStats stats;
-  m_.CopyCounters(stats);
-  stats.scale_up_time = static_cast<SimDuration>(m_.scale_up_time_us->value());
-  stats.scale_down_time = static_cast<SimDuration>(m_.scale_down_time_us->value());
+  m_.CopyTo(stats);
   return stats;
 }
 
@@ -150,7 +129,7 @@ void CacheAgent::ApplyTarget(int worker) {
     // Scale up: capacity grows, nothing to reclaim.
     if (cluster_->SetCapacity(worker, target, &duration).ok()) {
       ++*m_.scale_ups;
-      m_.scale_up_time_us->Add(static_cast<double>(duration));
+      m_.scale_up_time->Add(static_cast<double>(duration));
       if (FlightOn()) {
         flight_->Record(loop_->now(), obs::FlightEventKind::kScaleUp, 0, 0, worker, "",
                         std::to_string(target) + "B", duration);

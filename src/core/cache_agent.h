@@ -60,23 +60,27 @@ struct CacheAgentOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// The agent's plain counters: X(view field, registry family). See "Counter
-// lists" in src/obs/metrics.h.
-#define OFC_CACHE_AGENT_COUNTERS(X)                                                               \
-  X(scale_ups, "ofc.cache_agent.scale_ups")                                                       \
-  X(scale_downs_plain, "ofc.cache_agent.scale_downs_plain") /* No eviction, no migration. */      \
-  X(scale_downs_migration, "ofc.cache_agent.scale_downs_migration") /* Required migration. */     \
-  X(scale_downs_eviction, "ofc.cache_agent.scale_downs_eviction") /* Required object eviction. */ \
-  X(objects_migrated, "ofc.cache_agent.objects_migrated")                                         \
-  X(objects_evicted, "ofc.cache_agent.objects_evicted")                                           \
-  X(objects_swept, "ofc.cache_agent.objects_swept")                                               \
-  X(writebacks_triggered, "ofc.cache_agent.writebacks_triggered")
+// The agent's metrics: X(kind, cell, registry family[, view type or labels]).
+// The cumulative scaling times are gauges in micros, Add()ed, so the view
+// reconstructs SimDuration exactly. See "Metric lists" in src/obs/metrics.h.
+#define OFC_CACHE_AGENT_METRICS(X)                                                                \
+  X(COUNTER, scale_ups, "ofc.cache_agent.scale_ups")                                              \
+  X(COUNTER, scale_downs_plain, "ofc.cache_agent.scale_downs_plain") /* No eviction/migration. */ \
+  X(COUNTER, scale_downs_migration, "ofc.cache_agent.scale_downs_migration") /* Migrated. */      \
+  X(COUNTER, scale_downs_eviction, "ofc.cache_agent.scale_downs_eviction") /* Evicted. */         \
+  X(COUNTER, objects_migrated, "ofc.cache_agent.objects_migrated")                                \
+  X(COUNTER, objects_evicted, "ofc.cache_agent.objects_evicted")                                  \
+  X(COUNTER, objects_swept, "ofc.cache_agent.objects_swept")                                      \
+  X(COUNTER, writebacks_triggered, "ofc.cache_agent.writebacks_triggered")                        \
+  X(GAUGE, scale_up_time, "ofc.cache_agent.scale_up_time_us", SimDuration)                        \
+  X(GAUGE, scale_down_time, "ofc.cache_agent.scale_down_time_us", SimDuration)                    \
+  X(SERIES, migration_ms, "ofc.cache_agent.migration_ms")                                         \
+  X(COUNTER_PER, evictions, "ofc.policy.evictions", kEvictionReasonNames)                         \
+  X(COUNTER_PER, bytes_evicted, "ofc.policy.bytes_evicted", kEvictionReasonNames)
 
 // Snapshot view over the agent's registry cells.
 struct CacheScalingStats {
-  OFC_COUNTER_FIELDS(OFC_CACHE_AGENT_COUNTERS)
-  SimDuration scale_up_time = 0;
-  SimDuration scale_down_time = 0;
+  OFC_METRIC_FIELDS(OFC_CACHE_AGENT_METRICS)
 };
 
 class CacheAgent {
@@ -118,8 +122,6 @@ class CacheAgent {
   // Assembled on demand from the metrics registry.
   CacheScalingStats stats() const;
   obs::MetricsRegistry& metrics() { return *metrics_; }
-
- private:
   // Why an object left the cache; indexes the per-reason cells and names the
   // label of each cell and of the flight recorder's `evict` record.
   enum EvictionReason {
@@ -128,22 +130,15 @@ class CacheAgent {
     kSweep,             // §6.3 periodic sweep: cold object purged.
     kNumEvictionReasons,
   };
+  static constexpr const char* kEvictionReasonNames[] = {"persisted_discard", "capacity",
+                                                         "sweep"};
 
-  // Registry cells behind CacheScalingStats. The cumulative scaling times live
-  // in gauges (micros, Add()ed) so the snapshot reconstructs SimDuration
-  // exactly; migration latencies additionally feed a percentile series.
+ private:
+  // Registry cells behind CacheScalingStats; bumped through cached pointers.
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_CACHE_AGENT_COUNTERS, CacheScalingStats)
-    obs::Gauge* scale_up_time_us = nullptr;
-    obs::Gauge* scale_down_time_us = nullptr;
-    obs::Series* migration_ms = nullptr;
-    // ofc.policy.evictions / ofc.policy.bytes_evicted, one cell per reason.
-    obs::Counter* evictions[kNumEvictionReasons] = {};
-    obs::Counter* bytes_evicted[kNumEvictionReasons] = {};
+    OFC_METRIC_CELLS(OFC_CACHE_AGENT_METRICS)
   };
-  void AddScaleDownTime(SimDuration d) {
-    m_.scale_down_time_us->Add(static_cast<double>(d));
-  }
+  void AddScaleDownTime(SimDuration d) { m_.scale_down_time->Add(static_cast<double>(d)); }
 
   // Accounts one object that left the cache (metrics and flight record).
   void RecordEviction(const rc::CachedObject& obj, EvictionReason reason, int worker,
@@ -174,8 +169,7 @@ class CacheAgent {
   // Keys whose write-back is in flight (ordered: it is mutated along
   // deterministic paths only, never iterated).
   std::set<std::string> writebacks_pending_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::FlightRecorder* flight_ = nullptr;
   bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
   Metrics m_;

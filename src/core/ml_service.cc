@@ -81,10 +81,10 @@ void ModelTrainer::RecordInvocation(const workloads::FunctionSpec& spec,
   const bool benefit = total > 0 && static_cast<double>(e_est + l_est) / total > 0.5;
   const bool was_mature = model.mature();
   model.Learn(features, actual_memory, benefit);
-  if (samples_ != nullptr) {
-    ++*samples_;
+  if (m_.samples != nullptr) {
+    ++*m_.samples;
     if (!was_mature && model.mature()) {
-      ++*models_matured_;
+      ++*m_.models_matured;
     }
   }
 }

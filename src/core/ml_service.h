@@ -49,7 +49,7 @@ struct Prediction {
 class Predictor {
  public:
   // `model_predictions` / `booked_fallbacks` (optional): cells bumped per
-  // Predict() call; OfcSystem hands in the cells of its counter list.
+  // Predict() call; OfcSystem hands in cells of its prediction metric list.
   explicit Predictor(ModelRegistry* registry, obs::Counter* model_predictions = nullptr,
                      obs::Counter* booked_fallbacks = nullptr)
       : registry_(registry),
@@ -69,18 +69,22 @@ class Predictor {
   obs::Counter* booked_fallbacks_;
 };
 
+// The trainer's metrics: X(kind, cell, registry family). See "Metric lists"
+// in src/obs/metrics.h.
+#define OFC_TRAINER_METRICS(X)                                                 \
+  X(COUNTER, samples, "ofc.trainer.samples") /* Completion reports learned. */ \
+  X(COUNTER, models_matured, "ofc.trainer.models_matured")
+
 class ModelTrainer {
  public:
   // `rsds_estimate` prices what E (read) and L (write) would cost against the
   // remote store; the benefit label is (E + L) / (E + T + L) > 0.5 (§5.2).
-  // `metrics` (optional): registers `ofc.trainer.samples` /
-  // `ofc.trainer.models_matured`.
+  // `metrics` (optional): registers the OFC_TRAINER_METRICS cells.
   ModelTrainer(ModelRegistry* registry, store::StoreProfile rsds_estimate,
                obs::MetricsRegistry* metrics = nullptr)
       : registry_(registry), rsds_estimate_(rsds_estimate) {
     if (metrics != nullptr) {
-      samples_ = metrics->GetCounter("ofc.trainer.samples");
-      models_matured_ = metrics->GetCounter("ofc.trainer.models_matured");
+      m_.Bind(*metrics);
     }
   }
 
@@ -98,8 +102,10 @@ class ModelTrainer {
  private:
   ModelRegistry* registry_;
   store::StoreProfile rsds_estimate_;
-  obs::Counter* samples_ = nullptr;  // Null when metrics not wired.
-  obs::Counter* models_matured_ = nullptr;
+  struct Metrics {
+    OFC_METRIC_CELLS(OFC_TRAINER_METRICS)
+  };
+  Metrics m_;  // Null cells when metrics not wired.
 };
 
 }  // namespace ofc::core

@@ -22,15 +22,13 @@ OfcSystem::OfcSystem(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectSt
                      OfcOptions options)
     : cluster_(cluster),
       options_(options),
-      owned_metrics_(options.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
-                                                : nullptr),
-      metrics_(options.metrics != nullptr ? options.metrics : owned_metrics_.get()),
+      metrics_(options.metrics),
       m_(BindMetrics(*metrics_)),
       registry_(options.model),
       predictor_(&registry_, m_.model_predictions, m_.booked_fallbacks),
-      trainer_(&registry_, options.rsds_estimate, metrics_),
-      cache_agent_(loop, cluster, Shared(options.cache_agent, metrics_, options.flight)),
-      proxy_(loop, cluster, rsds, Shared(options.proxy, metrics_, options.flight)) {
+      trainer_(&registry_, options.rsds_estimate, metrics_.get()),
+      cache_agent_(loop, cluster, Shared(options.cache_agent, metrics_.get(), options.flight)),
+      proxy_(loop, cluster, rsds, Shared(options.proxy, metrics_.get(), options.flight)) {
   cache_agent_.set_writeback([this](const std::string& key, std::function<void(Status)> done) {
     proxy_.Writeback(key, std::move(done));
   });
@@ -43,13 +41,13 @@ void OfcSystem::Start() {
 
 OfcSystem::Metrics OfcSystem::BindMetrics(obs::MetricsRegistry& registry) {
   Metrics m;
-  m.BindCounters(registry);
+  m.Bind(registry);
   return m;
 }
 
 OfcPredictionStats OfcSystem::prediction_stats() const {
   OfcPredictionStats stats;
-  m_.CopyCounters(stats);
+  m_.CopyTo(stats);
   return stats;
 }
 

@@ -45,17 +45,17 @@ struct OfcOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// The prediction counters: X(view field, registry family). See "Counter
-// lists" in src/obs/metrics.h.
-#define OFC_PREDICTION_COUNTERS(X)                                                                 \
-  X(model_predictions, "ofc.predictor.model_predictions") /* Sized from a mature model. */         \
-  X(booked_fallbacks, "ofc.predictor.booked_fallbacks") /* Immature model: tenant booking used. */ \
-  X(good_predictions, "ofc.predictor.good_predictions") /* Completed within the predicted size. */ \
-  X(bad_predictions, "ofc.predictor.bad_predictions") /* Needed a rescue or an OOM retry. */
+// The prediction metrics: X(kind, cell, registry family). See "Metric lists"
+// in src/obs/metrics.h.
+#define OFC_PREDICTION_METRICS(X)                                                              \
+  X(COUNTER, model_predictions, "ofc.predictor.model_predictions") /* Mature model. */         \
+  X(COUNTER, booked_fallbacks, "ofc.predictor.booked_fallbacks") /* Immature: booking used. */ \
+  X(COUNTER, good_predictions, "ofc.predictor.good_predictions") /* Within predicted size. */  \
+  X(COUNTER, bad_predictions, "ofc.predictor.bad_predictions") /* Rescue or OOM retry. */
 
 // Snapshot view over the prediction counters.
 struct OfcPredictionStats {
-  OFC_COUNTER_FIELDS(OFC_PREDICTION_COUNTERS)
+  OFC_METRIC_FIELDS(OFC_PREDICTION_METRICS)
 };
 
 class OfcSystem : public faas::PlatformHooks {
@@ -112,7 +112,7 @@ class OfcSystem : public faas::PlatformHooks {
   // Registry cells behind OfcPredictionStats. The Predictor bumps the first two
   // through the cells handed to it; the system judges good/bad on completion.
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_PREDICTION_COUNTERS, OfcPredictionStats)
+    OFC_METRIC_CELLS(OFC_PREDICTION_METRICS)
   };
   static Metrics BindMetrics(obs::MetricsRegistry& registry);
 
@@ -120,8 +120,7 @@ class OfcSystem : public faas::PlatformHooks {
   OfcOptions options_;
   // Declared before the sub-components: the resolved registry pointer feeds
   // their constructors.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   Metrics m_;  // Bound before the Predictor, which is handed two of its cells.
   ModelRegistry registry_;
   Predictor predictor_;

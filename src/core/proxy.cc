@@ -9,52 +9,18 @@ namespace ofc::core {
 
 Proxy::Proxy(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsds,
              ProxyOptions options)
-    : loop_(loop), cluster_(cluster), rsds_(rsds), options_(options) {
-  metrics_ = options_.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  flight_ = options_.flight;
-  m_.BindCounters(*metrics_);
-  m_.breaker_state = metrics_->GetGauge("ofc.breaker.state");
-  m_.breaker_open_time_us = metrics_->GetGauge("ofc.breaker.open_time_us");
-  m_.persistor_ms = metrics_->GetSeries("ofc.proxy.persistor_ms");
-}
-
-Proxy::FnMetrics& Proxy::FnMetricsFor(const std::string& function) {
-  auto it = fn_metrics_.find(function);
-  if (it == fn_metrics_.end()) {
-    FnMetrics cells;
-    cells.hits = metrics_->GetCounter("ofc.proxy.cache_hits_by_function", function);
-    cells.misses = metrics_->GetCounter("ofc.proxy.cache_misses_by_function", function);
-    it = fn_metrics_.emplace(function, cells).first;
-  }
-  return it->second;
-}
-
-Proxy::FnMetrics& Proxy::FnMetricsForCtx(const faas::InvocationContext& ctx) {
-  const std::uint32_t idx = ctx.fn_index;
-  if (idx == 0 || idx >= kMaxFnIndexCache) {
-    return FnMetricsFor(ctx.function);
-  }
-  if (idx < fn_metrics_by_index_.size()) {
-    IndexedFnCells& slot = fn_metrics_by_index_[idx];
-    if (slot.cells != nullptr && slot.function == ctx.function) {
-      return *slot.cells;
-    }
-  }
-  FnMetrics& cells = FnMetricsFor(ctx.function);
-  if (idx >= fn_metrics_by_index_.size()) {
-    fn_metrics_by_index_.resize(idx + 1);
-  }
-  fn_metrics_by_index_[idx] = IndexedFnCells{ctx.function, &cells};
-  return cells;
+    : loop_(loop),
+      cluster_(cluster),
+      rsds_(rsds),
+      options_(options),
+      metrics_(options.metrics),
+      flight_(options.flight) {
+  m_.Bind(*metrics_);
 }
 
 ProxyStats Proxy::stats() const {
   ProxyStats stats;
-  m_.CopyCounters(stats);
+  m_.CopyTo(stats);
   return stats;
 }
 
@@ -88,7 +54,7 @@ void Proxy::Read(const faas::InvocationContext& ctx, const std::string& key,
   const SimTime issued = loop_->now();
   CacheRead(ctx.worker, key,
             [this, ctx, key, issued, done = std::move(done)](Result<rc::CachedObject> hit) {
-    FnMetrics& fn = FnMetricsForCtx(ctx);
+    FnMetrics& fn = fn_metrics_.At(ctx.fn_index, ctx.function);
     if (hit.ok()) {
       // A hit slower than the latency SLO counts against the breaker even
       // though it is served — a crawling cache is a sick cache.

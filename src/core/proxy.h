@@ -89,40 +89,48 @@ struct ProxyOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// The proxy's plain counters: X(view field, registry family). See "Counter
-// lists" in src/obs/metrics.h.
-#define OFC_PROXY_COUNTERS(X)                                                                   \
-  X(cache_hits, "ofc.proxy.cache_hits")                                                         \
-  X(cache_misses, "ofc.proxy.cache_misses")                                                     \
-  X(admissions, "ofc.proxy.admissions")                                                         \
-  X(admission_failures, "ofc.proxy.admission_failures")                                         \
-  X(shadow_writes, "ofc.proxy.shadow_writes")                                                   \
-  X(cached_writes, "ofc.proxy.cached_writes")                                                   \
-  X(direct_writes, "ofc.proxy.direct_writes")                                                   \
-  X(persistor_runs, "ofc.proxy.persistor_runs")                                                 \
-  X(persistor_conflicts, "ofc.proxy.persistor_conflicts") /* Out-of-order pushes skipped. */    \
-  X(intermediates_cached, "ofc.proxy.intermediates_cached")                                     \
-  X(intermediates_dropped, "ofc.proxy.intermediates_dropped")                                   \
-  X(external_read_boosts, "ofc.proxy.external_read_boosts")                                     \
-  X(external_write_invalidations, "ofc.proxy.external_write_invalidations")                     \
-  X(fallback_writes, "ofc.proxy.fallback_writes") /* Acked from the cache during an outage. */  \
-  X(rsds_retries, "ofc.proxy.rsds_retries") /* Read-path retries after kUnavailable. */         \
-  X(read_deadlines, "ofc.proxy.read_deadlines") /* Reads that exhausted the retry budget. */    \
-  X(persistor_retries, "ofc.proxy.persistor_retries") /* Re-dispatched persistor pushes. */     \
-  X(persistor_drops, "ofc.proxy.persistor_drops") /* Dispatches lost to fault injection. */     \
-  X(persistor_abandons, "ofc.proxy.persistor_abandons") /* Out of retries (stays dirty). */     \
-  X(breaker_opens, "ofc.breaker.opens") /* Closed/half-open -> open trips. */                   \
-  X(breaker_closes, "ofc.breaker.closes") /* Half-open -> closed recoveries. */                 \
-  X(breaker_probes, "ofc.breaker.probes") /* Operations admitted half-open. */                  \
-  X(breaker_probe_failures, "ofc.breaker.probe_failures") /* Probes that re-opened it. */       \
-  X(breaker_bypassed_reads, "ofc.breaker.bypassed_reads") /* Served RSDS-direct while open. */  \
-  X(breaker_bypassed_writes, "ofc.breaker.bypassed_writes") /* Sent RSDS-direct while open. */  \
-  X(corrupt_acked, "ofc.integrity.corrupt_acked") /* I6 tripwire: must stay 0 forever. */       \
-  X(reread_from_rsds, "ofc.integrity.reread_from_rsds") /* Cache loss healed via RSDS. */
+// The proxy's metrics: X(kind, cell, registry family). See "Metric lists"
+// in src/obs/metrics.h.
+#define OFC_PROXY_METRICS(X)                                                                       \
+  X(COUNTER, cache_hits, "ofc.proxy.cache_hits")                                                   \
+  X(COUNTER, cache_misses, "ofc.proxy.cache_misses")                                               \
+  X(COUNTER, admissions, "ofc.proxy.admissions")                                                   \
+  X(COUNTER, admission_failures, "ofc.proxy.admission_failures")                                   \
+  X(COUNTER, shadow_writes, "ofc.proxy.shadow_writes")                                             \
+  X(COUNTER, cached_writes, "ofc.proxy.cached_writes")                                             \
+  X(COUNTER, direct_writes, "ofc.proxy.direct_writes")                                             \
+  X(COUNTER, persistor_runs, "ofc.proxy.persistor_runs")                                           \
+  X(COUNTER, persistor_conflicts, "ofc.proxy.persistor_conflicts") /* Out-of-order skips. */       \
+  X(COUNTER, intermediates_cached, "ofc.proxy.intermediates_cached")                               \
+  X(COUNTER, intermediates_dropped, "ofc.proxy.intermediates_dropped")                             \
+  X(COUNTER, external_read_boosts, "ofc.proxy.external_read_boosts")                               \
+  X(COUNTER, external_write_invalidations, "ofc.proxy.external_write_invalidations")               \
+  X(COUNTER, fallback_writes, "ofc.proxy.fallback_writes") /* Acked in an outage. */               \
+  X(COUNTER, rsds_retries, "ofc.proxy.rsds_retries") /* After kUnavailable. */                     \
+  X(COUNTER, read_deadlines, "ofc.proxy.read_deadlines") /* Retry budget spent. */                 \
+  X(COUNTER, persistor_retries, "ofc.proxy.persistor_retries") /* Re-dispatched. */                \
+  X(COUNTER, persistor_drops, "ofc.proxy.persistor_drops") /* Lost to faults. */                   \
+  X(COUNTER, persistor_abandons, "ofc.proxy.persistor_abandons") /* Stays dirty. */                \
+  X(COUNTER, breaker_opens, "ofc.breaker.opens") /* Trips to open. */                              \
+  X(COUNTER, breaker_closes, "ofc.breaker.closes") /* Half-open -> closed. */                      \
+  X(COUNTER, breaker_probes, "ofc.breaker.probes") /* Admitted half-open. */                       \
+  X(COUNTER, breaker_probe_failures, "ofc.breaker.probe_failures") /* Probes that re-opened. */    \
+  X(COUNTER, breaker_bypassed_reads, "ofc.breaker.bypassed_reads") /* RSDS-direct while open. */   \
+  X(COUNTER, breaker_bypassed_writes, "ofc.breaker.bypassed_writes") /* RSDS-direct while open. */ \
+  X(COUNTER, corrupt_acked, "ofc.integrity.corrupt_acked") /* I6 tripwire: stays 0. */             \
+  X(COUNTER, reread_from_rsds, "ofc.integrity.reread_from_rsds") /* Healed via RSDS. */            \
+  X(GAUGE, breaker_state, "ofc.breaker.state") /* 0 closed / 1 open / 2 half-open. */              \
+  X(GAUGE, breaker_open_time_us, "ofc.breaker.open_time_us") /* Cumulative, on exit. */            \
+  X(SERIES, persistor_ms, "ofc.proxy.persistor_ms") /* Dispatch to RSDS-converged. */
+
+// Per-function hit/miss breakdowns, registered on the function's first read.
+#define OFC_PROXY_FN_METRICS(X)                            \
+  X(COUNTER, hits, "ofc.proxy.cache_hits_by_function")     \
+  X(COUNTER, misses, "ofc.proxy.cache_misses_by_function")
 
 // Snapshot view over the proxy's registry counters.
 struct ProxyStats {
-  OFC_COUNTER_FIELDS(OFC_PROXY_COUNTERS)
+  OFC_METRIC_FIELDS(OFC_PROXY_METRICS)
 
   double HitRatio() const {
     const double total = static_cast<double>(cache_hits + cache_misses);
@@ -189,28 +197,11 @@ class Proxy : public faas::DataService {
  private:
   // Registry cells behind ProxyStats; bumped through cached pointers.
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_PROXY_COUNTERS, ProxyStats)
-    obs::Gauge* breaker_state = nullptr;        // 0 closed / 1 open / 2 half-open.
-    obs::Gauge* breaker_open_time_us = nullptr; // Cumulative open time (on exit).
-    obs::Series* persistor_ms = nullptr;  // Dispatch to RSDS-converged latency.
+    OFC_METRIC_CELLS(OFC_PROXY_METRICS)
   };
-  // Per-function hit/miss label cells, cached for the hot read path.
   struct FnMetrics {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
+    OFC_METRIC_CELLS(OFC_PROXY_FN_METRICS)
   };
-  FnMetrics& FnMetricsFor(const std::string& function);
-  // Fast path keyed on ctx.fn_index (the platform's dense function index).
-  // Unlike the platform the proxy cannot trust the index alone — contexts may
-  // be hand-built by tests or come from a foreign platform — so each cached
-  // slot revalidates the function name and falls back to the map on mismatch.
-  FnMetrics& FnMetricsForCtx(const faas::InvocationContext& ctx);
-  struct IndexedFnCells {
-    std::string function;
-    FnMetrics* cells = nullptr;
-  };
-  // Bounds fn_index-cache growth against absurd indices (slots are ~48 bytes).
-  static constexpr std::uint32_t kMaxFnIndexCache = 1u << 16;
 
   // One pending write-back. `version` 0 means the write degraded during an
   // outage and never got a shadow; `fallback_base` then carries the store
@@ -278,8 +269,7 @@ class Proxy : public faas::DataService {
   rc::Cluster* cluster_;
   store::ObjectStore* rsds_;
   ProxyOptions options_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::FlightRecorder* flight_ = nullptr;
   bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
   SimTime persistor_drop_until_ = 0;  // Fault injection: dispatches before this are lost.
@@ -292,9 +282,9 @@ class Proxy : public faas::DataService {
   SimTime breaker_open_until_ = 0;
   SimTime breaker_opened_at_ = 0;
   Metrics m_;
-  // Node-based, so the cell pointers cached in fn_metrics_by_index_ stay valid.
-  std::map<std::string, FnMetrics> fn_metrics_;
-  std::vector<IndexedFnCells> fn_metrics_by_index_;  // ctx.fn_index fast path.
+  // Keyed by the function name, with the O(1) path on ctx.fn_index (revalidated:
+  // contexts may be hand-built by tests or come from a foreign platform).
+  obs::LabelledCells<FnMetrics> fn_metrics_{metrics_.get()};
   // Intermediate objects written per in-flight pipeline (§6.3 cleanup). Looked
   // up by id, never iterated; salted hashing keeps that honest under test.
   std::unordered_map<std::uint64_t, std::vector<std::string>, DetHash<std::uint64_t>>

@@ -7,13 +7,8 @@ namespace ofc::core {
 
 Scrubber::Scrubber(sim::EventLoop* loop, rc::Cluster* cluster, store::ObjectStore* rsds,
                    ScrubberOptions options)
-    : loop_(loop), cluster_(cluster), rsds_(rsds), options_(options) {
-  metrics_ = options_.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  m_.BindCounters(*metrics_);
+    : loop_(loop), cluster_(cluster), rsds_(rsds), options_(options), metrics_(options.metrics) {
+  m_.Bind(*metrics_);
   task_ = std::make_unique<sim::PeriodicTask>(loop_, options_.interval,
                                               [this](SimTime) { Tick(); });
 }
@@ -24,7 +19,7 @@ void Scrubber::Stop() { task_->Stop(); }
 
 ScrubberStats Scrubber::stats() const {
   ScrubberStats stats;
-  m_.CopyCounters(stats);
+  m_.CopyTo(stats);
   return stats;
 }
 

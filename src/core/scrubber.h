@@ -45,18 +45,18 @@ struct ScrubberOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// The scrubber's plain counters: X(view field, registry family). See
-// "Counter lists" in src/obs/metrics.h.
-#define OFC_SCRUBBER_COUNTERS(X)                                                            \
-  X(cycles, "ofc.scrub.cycles") /* Full passes completed over the cluster. */               \
-  X(objects_scanned, "ofc.scrub.objects_scanned") /* Objects verified (cluster + store). */ \
-  X(corruptions_found, "ofc.scrub.corruptions_found") /* Corrupt copies detected. */        \
-  X(repairs, "ofc.scrub.repairs") /* Corrupt copies repaired. */                            \
-  X(quarantines, "ofc.scrub.quarantines") /* Nodes drained for crossing the threshold. */
+// The scrubber's metrics: X(kind, cell, registry family). See "Metric lists"
+// in src/obs/metrics.h.
+#define OFC_SCRUBBER_METRICS(X)                                                            \
+  X(COUNTER, cycles, "ofc.scrub.cycles") /* Full cluster passes. */                        \
+  X(COUNTER, objects_scanned, "ofc.scrub.objects_scanned") /* Cluster + store. */          \
+  X(COUNTER, corruptions_found, "ofc.scrub.corruptions_found") /* Corrupt copies found. */ \
+  X(COUNTER, repairs, "ofc.scrub.repairs") /* Copies repaired. */                          \
+  X(COUNTER, quarantines, "ofc.scrub.quarantines") /* Nodes drained. */
 
 // Snapshot view over the scrubber's registry counters.
 struct ScrubberStats {
-  OFC_COUNTER_FIELDS(OFC_SCRUBBER_COUNTERS)
+  OFC_METRIC_FIELDS(OFC_SCRUBBER_METRICS)
 };
 
 class Scrubber {
@@ -83,8 +83,7 @@ class Scrubber {
   rc::Cluster* cluster_;
   store::ObjectStore* rsds_;
   ScrubberOptions options_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   std::unique_ptr<sim::PeriodicTask> task_;
   // Incremental cursors: last key verified; "" = pass starts from the top.
   std::string cluster_cursor_;
@@ -93,7 +92,7 @@ class Scrubber {
   // threshold check never depends on hash iteration order.
   std::map<int, int> node_corruption_;
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_SCRUBBER_COUNTERS, ScrubberStats)
+    OFC_METRIC_CELLS(OFC_SCRUBBER_METRICS)
   };
   Metrics m_;
 };

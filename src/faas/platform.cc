@@ -47,7 +47,13 @@ void PlatformHooks::OnInvocationComplete(const FunctionConfig&,
 
 Platform::Platform(sim::EventLoop* loop, PlatformOptions options, DataService* data,
                    PlatformHooks* hooks, Rng rng)
-    : loop_(loop), options_(options), data_(data), hooks_(hooks), rng_(rng) {
+    : loop_(loop),
+      options_(options),
+      data_(data),
+      hooks_(hooks),
+      rng_(rng),
+      metrics_(options.metrics),
+      flight_(options.flight) {
   assert(loop_ != nullptr && data_ != nullptr);
   if (hooks_ == nullptr) {
     default_hooks_ = std::make_unique<PlatformHooks>();
@@ -55,55 +61,13 @@ Platform::Platform(sim::EventLoop* loop, PlatformOptions options, DataService* d
   }
   worker_reserved_.assign(static_cast<std::size_t>(options_.num_workers), 0);
   worker_alive_.assign(static_cast<std::size_t>(options_.num_workers), true);
-
-  metrics_ = options_.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  flight_ = options_.flight;
-  m_.BindCounters(*metrics_);
-  m_.shed_queue_full = metrics_->GetCounter("ofc.overload.shed", "queue_full");
-  m_.shed_deadline = metrics_->GetCounter("ofc.overload.shed", "deadline");
-  m_.queue_wait_ms = metrics_->GetSeries("ofc.platform.queue_wait_ms");
-  m_.startup_ms = metrics_->GetSeries("ofc.platform.startup_ms");
-  m_.extract_ms = metrics_->GetSeries("ofc.platform.extract_ms");
-  m_.transform_ms = metrics_->GetSeries("ofc.platform.transform_ms");
-  m_.load_ms = metrics_->GetSeries("ofc.platform.load_ms");
-  m_.total_ms = metrics_->GetSeries("ofc.platform.total_ms");
-}
-
-Platform::FnMetrics& Platform::FnMetricsFor(const std::string& function) {
-  auto it = fn_metrics_.find(function);
-  if (it == fn_metrics_.end()) {
-    FnMetrics cells;
-    cells.invocations = metrics_->GetCounter("ofc.platform.invocations_by_function", function);
-    cells.cold_starts = metrics_->GetCounter("ofc.platform.cold_starts_by_function", function);
-    cells.total_ms = metrics_->GetSeries("ofc.platform.total_ms_by_function", function);
-    it = fn_metrics_.emplace(function, cells).first;
-  }
-  return it->second;
-}
-
-Platform::FnMetrics& Platform::FnMetricsAt(std::uint32_t fn_index, const std::string& function) {
-  if (fn_index == 0) {
-    return FnMetricsFor(function);
-  }
-  if (fn_index < fn_metrics_by_index_.size() && fn_metrics_by_index_[fn_index] != nullptr) {
-    return *fn_metrics_by_index_[fn_index];
-  }
-  FnMetrics& cells = FnMetricsFor(function);
-  if (fn_index >= fn_metrics_by_index_.size()) {
-    fn_metrics_by_index_.resize(fn_index + 1, nullptr);
-  }
-  fn_metrics_by_index_[fn_index] = &cells;
-  return cells;
+  m_.Bind(*metrics_);
 }
 
 PlatformStats Platform::stats() const {
   PlatformStats stats;
-  m_.CopyCounters(stats);
-  stats.shed_requests = m_.shed_queue_full->value() + m_.shed_deadline->value();
+  m_.CopyTo(stats);
+  stats.shed_requests = m_.shed[kQueueFull]->value() + m_.shed[kDeadline]->value();
   return stats;
 }
 
@@ -117,7 +81,7 @@ void Platform::RecordCompletion(const InvocationRecord& record) {
   m_.total_ms->Observe(ToMillis(record.total));
   m_.input_bytes->Add(static_cast<std::uint64_t>(record.input_bytes));
   m_.output_bytes->Add(static_cast<std::uint64_t>(record.output_bytes));
-  FnMetrics& fn = FnMetricsAt(record.fn_index, record.function);
+  FnMetrics& fn = fn_metrics_.At(record.fn_index, record.function);
   ++*fn.invocations;
   if (record.cold_start) {
     ++*fn.cold_starts;
@@ -752,7 +716,7 @@ void Platform::EnqueueOrShed(std::shared_ptr<Request> request) {
     // First admission decision: the depth gate applies to new entrants only —
     // a drain re-probe must not shed a request that was already admitted.
     if (options_.max_queue_depth > 0 && wait_queue_.size() >= options_.max_queue_depth) {
-      Shed(std::move(request), m_.shed_queue_full, "queue_full");
+      Shed(std::move(request), kQueueFull);
       return;
     }
     request->first_queued = now;
@@ -766,7 +730,7 @@ void Platform::EnqueueOrShed(std::shared_ptr<Request> request) {
       // fired while this request was mid-drain, so shed here instead. Exactly
       // one of the timer and this check sheds in every interleaving (the timer
       // only acts on requests it finds queued).
-      Shed(std::move(request), m_.shed_deadline, "deadline");
+      Shed(std::move(request), kDeadline);
       return;
     }
     // (Re-)arm the deadline for this queue residence. Duplicate timers for the
@@ -787,7 +751,7 @@ void Platform::ShedExpired(std::uint64_t request_id) {
     if ((*it)->id == request_id) {
       std::shared_ptr<Request> request = std::move(*it);
       wait_queue_.erase(it);
-      Shed(std::move(request), m_.shed_deadline, "deadline");
+      Shed(std::move(request), kDeadline);
       return;
     }
   }
@@ -798,9 +762,8 @@ void Platform::ShedExpired(std::uint64_t request_id) {
 // failures. Phase series stay clean (nothing executed) and hooks are not
 // notified (a shed carries no execution feedback for the trainer), but the
 // queue wait is observed — it is the overload signal of interest.
-void Platform::Shed(std::shared_ptr<Request> request, obs::Counter* cell,
-                    const char* reason) {
-  ++*cell;
+void Platform::Shed(std::shared_ptr<Request> request, ShedReason reason) {
+  ++*m_.shed[reason];
   ++*m_.failed_invocations;
   if (request->first_queued != 0 && !request->queue_wait_recorded) {
     request->queue_wait_recorded = true;
@@ -818,7 +781,7 @@ void Platform::Shed(std::shared_ptr<Request> request, obs::Counter* cell,
   record.output_key = request->output_key;
   if (FlightOn()) {
     flight_->Record(loop_->now(), obs::FlightEventKind::kShed, request->id,
-                    request->pipeline_id, -1, request->function, reason);
+                    request->pipeline_id, -1, request->function, kShedReasons[reason]);
   }
   // Asynchronous completion, matching every other terminal path: Shed can fire
   // synchronously inside Invoke(), and callers must not observe completion
@@ -873,7 +836,14 @@ void Platform::InvokePipeline(const workloads::PipelineSpec& spec,
   auto run_stage = std::make_shared<std::function<void()>>();
   std::weak_ptr<std::function<void()>> weak_run_stage = run_stage;
   *run_stage = [this, state, weak_run_stage]() {
-    if (state->stage >= state->spec.stages.size()) {
+    const bool past_last = state->stage >= state->spec.stages.size();
+    const FunctionConfig* fn =
+        past_last ? nullptr : GetFunction(state->spec.stages[state->stage].function);
+    if (fn == nullptr || state->objects.empty()) {
+      // The one end path: after the last stage, or failed when a stage names
+      // an unregistered function or has no input objects. Either way the data
+      // service drops the pipeline's intermediates.
+      state->record.failed |= !past_last;
       state->record.total = loop_->now() - state->start;
       if (FlightOn()) {
         flight_->Record(loop_->now(), obs::FlightEventKind::kPipelineEnd, 0,
@@ -885,13 +855,6 @@ void Platform::InvokePipeline(const workloads::PipelineSpec& spec,
       return;
     }
     const workloads::PipelineStage& stage = state->spec.stages[state->stage];
-    const FunctionConfig* fn = GetFunction(stage.function);
-    if (fn == nullptr || state->objects.empty()) {
-      state->record.failed = true;
-      state->record.total = loop_->now() - state->start;
-      state->done(state->record);
-      return;
-    }
 
     // Partition the previous stage's objects across this stage's tasks.
     const std::size_t num_tasks =

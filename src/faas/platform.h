@@ -229,29 +229,43 @@ class PlatformHooks {
                                     const InvocationRecord& record);
 };
 
-// The platform's plain counters: X(view field, registry family). See
-// "Counter lists" in src/obs/metrics.h.
-#define OFC_PLATFORM_COUNTERS(X)                                                                  \
-  X(invocations, "ofc.platform.invocations")                                                      \
-  X(cold_starts, "ofc.platform.cold_starts")                                                      \
-  X(warm_starts, "ofc.platform.warm_starts")                                                      \
-  X(oom_kills, "ofc.platform.oom_kills")                                                          \
-  X(oom_rescues, "ofc.platform.oom_rescues")                                                      \
-  X(failed_invocations, "ofc.platform.failed_invocations")                                        \
-  X(retries, "ofc.platform.retries")                                                              \
-  X(sandbox_reclaims, "ofc.platform.sandbox_reclaims") /* Idle sandboxes evicted for capacity. */ \
-  X(queued_requests, "ofc.platform.queued_requests")                                              \
-  X(worker_crashes, "ofc.platform.worker_crashes")                                                \
-  X(worker_restores, "ofc.platform.worker_restores")                                              \
-  X(crash_retries, "ofc.platform.crash_retries") /* Invocations re-dispatched after a crash. */   \
-  X(input_bytes, "ofc.platform.input_bytes")                                                      \
-  X(output_bytes, "ofc.platform.output_bytes")
+// The platform's metrics: X(kind, cell, registry family[, view type or
+// labels]). See "Metric lists" in src/obs/metrics.h.
+#define OFC_PLATFORM_METRICS(X)                                                                  \
+  X(COUNTER, invocations, "ofc.platform.invocations")                                            \
+  X(COUNTER, cold_starts, "ofc.platform.cold_starts")                                            \
+  X(COUNTER, warm_starts, "ofc.platform.warm_starts")                                            \
+  X(COUNTER, oom_kills, "ofc.platform.oom_kills")                                                \
+  X(COUNTER, oom_rescues, "ofc.platform.oom_rescues")                                            \
+  X(COUNTER, failed_invocations, "ofc.platform.failed_invocations")                              \
+  X(COUNTER, retries, "ofc.platform.retries")                                                    \
+  X(COUNTER, sandbox_reclaims, "ofc.platform.sandbox_reclaims") /* Idle sandboxes evicted. */    \
+  X(COUNTER, queued_requests, "ofc.platform.queued_requests")                                    \
+  X(COUNTER, worker_crashes, "ofc.platform.worker_crashes")                                      \
+  X(COUNTER, worker_restores, "ofc.platform.worker_restores")                                    \
+  X(COUNTER, crash_retries, "ofc.platform.crash_retries") /* Re-dispatched after a crash. */     \
+  X(COUNTER, input_bytes, "ofc.platform.input_bytes")                                            \
+  X(COUNTER, output_bytes, "ofc.platform.output_bytes")                                          \
+  X(COUNTER_PER, shed, "ofc.overload.shed", kShedReasons) /* Rejected by overload protection. */ \
+  X(SERIES, queue_wait_ms, "ofc.platform.queue_wait_ms") /* Wait-queue residence. */             \
+  X(SERIES, startup_ms, "ofc.platform.startup_ms")                                               \
+  X(SERIES, extract_ms, "ofc.platform.extract_ms")                                               \
+  X(SERIES, transform_ms, "ofc.platform.transform_ms")                                           \
+  X(SERIES, load_ms, "ofc.platform.load_ms")                                                     \
+  X(SERIES, total_ms, "ofc.platform.total_ms")
+
+// Per-function breakdowns, one cell per function label, registered on the
+// function's first completion.
+#define OFC_PLATFORM_FN_METRICS(X)                                \
+  X(COUNTER, invocations, "ofc.platform.invocations_by_function") \
+  X(COUNTER, cold_starts, "ofc.platform.cold_starts_by_function") \
+  X(SERIES, total_ms, "ofc.platform.total_ms_by_function")
 
 // Snapshot view over the platform's registry counters (the registry is the
 // source of truth; this struct exists for test/bench compatibility and
 // human-readable summaries).
 struct PlatformStats {
-  OFC_COUNTER_FIELDS(OFC_PLATFORM_COUNTERS)
+  OFC_METRIC_FIELDS(OFC_PLATFORM_METRICS)
   std::uint64_t shed_requests = 0;  // Rejected by overload protection.
 };
 
@@ -300,6 +314,10 @@ class Platform {
   // Assembled on demand from the metrics registry.
   PlatformStats stats() const;
   obs::MetricsRegistry& metrics() { return *metrics_; }
+  // Why overload protection rejected a request: the labels of
+  // `ofc.overload.shed`, indexed by ShedReason.
+  enum ShedReason { kQueueFull, kDeadline };
+  static constexpr const char* kShedReasons[] = {"queue_full", "deadline"};
 
   // Aggregate media descriptor for demand evaluation over multiple inputs; also
   // used by hooks that need one descriptor for feature extraction.
@@ -344,30 +362,13 @@ class Platform {
     bool queue_wait_recorded = false;  // Observe queue_wait_ms at most once.
   };
 
-  // Registry cells behind PlatformStats plus the phase-latency series; bumped
-  // on the hot path through cached pointers.
+  // Registry cells behind PlatformStats; bumped through cached pointers.
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_PLATFORM_COUNTERS, PlatformStats)
-    obs::Counter* shed_queue_full = nullptr;  // ofc.overload.shed{queue_full}
-    obs::Counter* shed_deadline = nullptr;    // ofc.overload.shed{deadline}
-    obs::Series* queue_wait_ms = nullptr;     // Wait-queue residence on dispatch/shed.
-    obs::Series* startup_ms = nullptr;
-    obs::Series* extract_ms = nullptr;
-    obs::Series* transform_ms = nullptr;
-    obs::Series* load_ms = nullptr;
-    obs::Series* total_ms = nullptr;
+    OFC_METRIC_CELLS(OFC_PLATFORM_METRICS)
   };
-  // Per-function label cells, cached so the hot path pays one hash lookup.
   struct FnMetrics {
-    obs::Counter* invocations = nullptr;
-    obs::Counter* cold_starts = nullptr;
-    obs::Series* total_ms = nullptr;
+    OFC_METRIC_CELLS(OFC_PLATFORM_FN_METRICS)
   };
-  FnMetrics& FnMetricsFor(const std::string& function);
-  // Index fast path: record/context fn_index values are platform-assigned, so
-  // a non-zero index resolves through fn_metrics_by_index_ without hashing
-  // `function`; 0 (unregistered function) falls back to the name lookup.
-  FnMetrics& FnMetricsAt(std::uint32_t fn_index, const std::string& function);
   void RecordCompletion(const InvocationRecord& record);
   bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
 
@@ -401,7 +402,7 @@ class Platform {
   // Queue-deadline event: sheds the request iff it is still waiting.
   void ShedExpired(std::uint64_t request_id);
   // Completes `request` with kResourceExhausted without running it.
-  void Shed(std::shared_ptr<Request> request, obs::Counter* cell, const char* reason);
+  void Shed(std::shared_ptr<Request> request, ShedReason reason);
   // True when dispatching `fn` now would exceed the per-function concurrency limit.
   bool OverConcurrencyLimit(const FunctionConfig& fn) const;
   // Concurrency accounting paired with in_flight_ insert (+1) / erase (-1).
@@ -428,13 +429,11 @@ class Platform {
   // Running-invocation counts behind the per-function concurrency limit. Only
   // maintained when the limit is configured.
   std::map<std::string, int> running_per_function_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::FlightRecorder* flight_ = nullptr;
   Metrics m_;
-  std::map<std::string, FnMetrics> fn_metrics_;
-  // fn_index → cell pointers (stable: fn_metrics_ is a node-based map).
-  std::vector<FnMetrics*> fn_metrics_by_index_;
+  // Keyed by the function name, with the O(1) path on record.fn_index.
+  obs::LabelledCells<FnMetrics> fn_metrics_{metrics_.get()};
   std::uint32_t next_fn_index_ = 1;
   // Request blocks are recycled: completion frees into the pool, the next
   // Invoke() reuses — zero steady-state allocation for request records.

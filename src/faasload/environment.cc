@@ -17,12 +17,8 @@ std::string ModeName(Mode mode) {
   return "unknown";
 }
 
-Environment::Environment(Mode mode, EnvironmentOptions options) : mode_(mode) {
-  metrics_ = options.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
+Environment::Environment(Mode mode, EnvironmentOptions options)
+    : mode_(mode), metrics_(options.metrics) {
   obs::TraceRecorder* trace = options.trace;
   if (trace == nullptr) {
     owned_trace_ = std::make_unique<obs::TraceRecorder>();  // Disabled by default.
@@ -41,23 +37,23 @@ Environment::Environment(Mode mode, EnvironmentOptions options) : mode_(mode) {
   const store::StoreProfile profile = options.rsds_profile.value_or(
       mode == Mode::kOwkRedis ? store::StoreProfile::Redis() : store::StoreProfile::Swift());
   rsds_ = std::make_unique<store::ObjectStore>(
-      &loop_, profile, rng.Fork(), mode == Mode::kOwkRedis ? "redis" : "swift", metrics_);
+      &loop_, profile, rng.Fork(), mode == Mode::kOwkRedis ? "redis" : "swift", metrics_.get());
 
   faas::PlatformOptions platform_options = options.platform;
-  platform_options.metrics = metrics_;
+  platform_options.metrics = metrics_.get();
   platform_options.flight = flight_;
 
   if (mode == Mode::kOfc) {
     // One RAMCloud storage server per invoker node (§6.1).
     rc::ClusterOptions cluster_options = options.cluster;
     cluster_options.default_capacity = 0;  // The CacheAgent sets real targets.
-    cluster_options.metrics = metrics_;
+    cluster_options.metrics = metrics_.get();
     cluster_options.flight = flight_;
     cluster_ = std::make_unique<rc::Cluster>(&loop_, options.platform.num_workers,
                                              cluster_options, rng.Fork());
     core::OfcOptions ofc_options = options.ofc;
     ofc_options.cache_agent.worker_memory = options.platform.worker_memory;
-    ofc_options.metrics = metrics_;
+    ofc_options.metrics = metrics_.get();
     ofc_options.flight = flight_;
     ofc_ = std::make_unique<core::OfcSystem>(&loop_, cluster_.get(), rsds_.get(), ofc_options);
     platform_ = std::make_unique<faas::Platform>(&loop_, platform_options,
@@ -80,7 +76,7 @@ fault::FaultInjector& Environment::faults() {
     fault::FaultInjectorTargets targets{platform_.get(), cluster_.get(), rsds_.get(),
                                         ofc_ != nullptr ? &ofc_->proxy() : nullptr};
     faults_ = std::make_unique<fault::FaultInjector>(
-        &loop_, targets, fault::FaultInjectorOptions{metrics_, flight_});
+        &loop_, targets, fault::FaultInjectorOptions{metrics_.get(), flight_});
     trace().SetProcessName(obs::kPidFaults, "fault-injector");
   }
   return *faults_;
@@ -90,15 +86,15 @@ Result<core::Scrubber*> Environment::StartScrubber(core::ScrubberOptions options
   if (cluster_ == nullptr) {
     return FailedPreconditionError("the scrubber needs a cache cluster (OFC mode)");
   }
-  options.metrics = metrics_;
+  options.metrics = metrics_.get();
   scrubber_ = std::make_unique<core::Scrubber>(&loop_, cluster_.get(), rsds_.get(), options);
   scrubber_->Start();
   return scrubber_.get();
 }
 
 void Environment::StartTelemetry(SimDuration interval, std::vector<obs::SloSpec> slos) {
-  slo_ = std::make_unique<obs::SloMonitor>(metrics_, &trace(), std::move(slos));
-  timeline_ = std::make_unique<obs::TimelineRecorder>(metrics_);
+  slo_ = std::make_unique<obs::SloMonitor>(metrics_.get(), &trace(), std::move(slos));
+  timeline_ = std::make_unique<obs::TimelineRecorder>(metrics_.get());
   scraper_ = std::make_unique<sim::PeriodicTask>(&loop_, interval, [this](SimTime now) {
     slo_->Evaluate(now);
     timeline_->Scrape(now);

@@ -127,10 +127,9 @@ class Environment {
  private:
   Mode mode_;
   sim::EventLoop loop_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
+  obs::RegistryRef metrics_;
   std::unique_ptr<obs::TraceRecorder> owned_trace_;
   std::unique_ptr<obs::FlightRecorder> owned_flight_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::unique_ptr<store::ObjectStore> rsds_;
   std::unique_ptr<rc::Cluster> cluster_;

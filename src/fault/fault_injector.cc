@@ -9,27 +9,19 @@ namespace ofc::fault {
 
 FaultInjector::FaultInjector(sim::EventLoop* loop, FaultInjectorTargets targets,
                              FaultInjectorOptions options)
-    : loop_(loop), targets_(targets) {
-  metrics_ = options.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  flight_ = options.flight;
-  m_.BindCounters(*metrics_);
-  active_ = metrics_->GetGauge("ofc.fault.active");
+    : loop_(loop), targets_(targets), metrics_(options.metrics), flight_(options.flight) {
+  m_.Bind(*metrics_);
 }
 
 FaultStats FaultInjector::stats() const {
   FaultStats stats;
-  m_.CopyCounters(stats);
+  m_.CopyTo(stats);
   return stats;
 }
 
 Status FaultInjector::Schedule(const FaultPlan& plan) {
-  const int num_workers = targets_.platform != nullptr ? targets_.platform->num_workers() : 0;
-  const int num_nodes = targets_.cluster != nullptr ? targets_.cluster->num_nodes() : 0;
-  OFC_RETURN_IF_ERROR(plan.Validate(num_workers, num_nodes));
+  // Wiring first: with a target missing, its count below is 0 and Validate
+  // would misreport the event as out of range.
   for (const FaultEvent& event : plan.events) {
     switch (event.kind) {
       case FaultKind::kWorkerCrash:
@@ -79,6 +71,9 @@ Status FaultInjector::Schedule(const FaultPlan& plan) {
         break;
     }
   }
+  const int num_workers = targets_.platform != nullptr ? targets_.platform->num_workers() : 0;
+  const int num_nodes = targets_.cluster != nullptr ? targets_.cluster->num_nodes() : 0;
+  OFC_RETURN_IF_ERROR(plan.Validate(num_workers, num_nodes));
   for (const FaultEvent& event : plan.events) {
     loop_->ScheduleAt(event.at, [this, event] { Fire(event); });
   }
@@ -96,10 +91,8 @@ void FaultInjector::RecordFault(obs::FlightEventKind kind, const FaultEvent& eve
 void FaultInjector::Fire(const FaultEvent& event) {
   const std::uint64_t fault_id = next_fault_id_++;
   ++*m_.injected;
-  metrics_->GetCounter("ofc.fault.injected_by_kind",
-                       std::string(FaultKindName(event.kind)))
-      ->Add(1);
-  active_->Add(1.0);
+  ++*by_kind_.For(std::string(FaultKindName(event.kind))).injected;
+  m_.active->Add(1.0);
   RecordFault(obs::FlightEventKind::kFaultInject, event, fault_id);
   std::optional<int> corrupted;  // Objects damaged, for the corruption kinds.
   switch (event.kind) {
@@ -153,13 +146,13 @@ void FaultInjector::Fire(const FaultEvent& event) {
       break;
   }
   if (corrupted.has_value()) {
-    // Registered on the first corruption, so un-faulted runs export no
-    // zero-valued family.
-    metrics_->GetCounter("ofc.fault.objects_corrupted")
-        ->Add(static_cast<std::uint64_t>(*corrupted));
+    if (corruption_.objects_corrupted == nullptr) {
+      corruption_.Bind(*metrics_);
+    }
+    corruption_.objects_corrupted->Add(static_cast<std::uint64_t>(*corrupted));
     // Corruption fires and completes in the same instant — the damage outlives
     // the event, but there is no open window for `ofc.fault.active` to track.
-    active_->Add(-1.0);
+    m_.active->Add(-1.0);
   }
   if (event.duration > 0) {
     loop_->ScheduleAfter(event.duration, [this, event, fault_id] { Heal(event, fault_id); });
@@ -168,7 +161,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
 
 void FaultInjector::Heal(const FaultEvent& event, std::uint64_t fault_id) {
   ++*m_.healed;
-  active_->Add(-1.0);
+  m_.active->Add(-1.0);
   RecordFault(obs::FlightEventKind::kFaultHeal, event, fault_id);
   switch (event.kind) {
     case FaultKind::kWorkerCrash:

@@ -46,15 +46,24 @@ struct FaultInjectorOptions {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// The injector's plain counters: X(view field, registry family). See
-// "Counter lists" in src/obs/metrics.h.
-#define OFC_FAULT_COUNTERS(X)                            \
-  X(injected, "ofc.fault.injected") /* Faults fired. */  \
-  X(healed, "ofc.fault.healed") /* Heal events fired. */
+// The injector's metrics: X(kind, cell, registry family). See "Metric lists"
+// in src/obs/metrics.h.
+#define OFC_FAULT_METRICS(X)                                     \
+  X(COUNTER, injected, "ofc.fault.injected") /* Fired. */        \
+  X(COUNTER, healed, "ofc.fault.healed") /* Heals fired. */      \
+  X(GAUGE, active, "ofc.fault.active") /* Open fault windows. */
+
+// One cell per fault kind, registered on the kind's first injection.
+#define OFC_FAULT_KIND_METRICS(X) X(COUNTER, injected, "ofc.fault.injected_by_kind")
+
+// Registered on the first corruption, so un-faulted runs export no
+// zero-valued family.
+#define OFC_FAULT_CORRUPTION_METRICS(X)                        \
+  X(COUNTER, objects_corrupted, "ofc.fault.objects_corrupted")
 
 // Snapshot view over the injector's registry counters.
 struct FaultStats {
-  OFC_COUNTER_FIELDS(OFC_FAULT_COUNTERS)
+  OFC_METRIC_FIELDS(OFC_FAULT_METRICS)
 };
 
 class FaultInjector {
@@ -81,8 +90,7 @@ class FaultInjector {
 
   sim::EventLoop* loop_;
   FaultInjectorTargets targets_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::FlightRecorder* flight_ = nullptr;
   // Monotonic id shared by an inject record and its heal record, so the flight
   // recorder's ChainFor() groups the pair as one causal fault window.
@@ -97,10 +105,17 @@ class FaultInjector {
   std::map<int, int> worker_crash_depth_;
   std::map<int, int> node_crash_depth_;
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_FAULT_COUNTERS, FaultStats)
+    OFC_METRIC_CELLS(OFC_FAULT_METRICS)
+  };
+  struct KindMetrics {
+    OFC_METRIC_CELLS(OFC_FAULT_KIND_METRICS)
+  };
+  struct CorruptionMetrics {
+    OFC_METRIC_CELLS(OFC_FAULT_CORRUPTION_METRICS)
   };
   Metrics m_;
-  obs::Gauge* active_ = nullptr;
+  obs::LabelledCells<KindMetrics> by_kind_{metrics_.get()};
+  CorruptionMetrics corruption_;  // Bound on the first corruption.
 };
 
 }  // namespace ofc::fault

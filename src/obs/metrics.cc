@@ -226,18 +226,4 @@ void MetricsRegistry::VisitSeries(
   }
 }
 
-void MetricsRegistry::Reset() {
-  for (auto& [name, family] : families_) {
-    for (auto& [label, counter] : family.counters) {
-      counter.Reset();
-    }
-    for (auto& [label, gauge] : family.gauges) {
-      gauge.Reset();
-    }
-    for (auto& [label, series] : family.series) {
-      series.Reset();
-    }
-  }
-}
-
 }  // namespace ofc::obs

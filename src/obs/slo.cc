@@ -172,11 +172,7 @@ SloMonitor::SloMonitor(MetricsRegistry* registry, TraceRecorder* trace,
     : registry_(registry), trace_(trace), specs_(std::move(specs)) {
   states_.resize(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const std::string& name = specs_[i].name;
-    states_[i].alerts_cell = registry_->GetCounter("ofc.slo.alerts", name);
-    states_[i].burn_fast_cell = registry_->GetGauge("ofc.slo.burn_fast", name);
-    states_[i].burn_slow_cell = registry_->GetGauge("ofc.slo.burn_slow", name);
-    states_[i].firing_cell = registry_->GetGauge("ofc.slo.firing", name);
+    states_[i].cells.Bind(*registry_, specs_[i].name);
   }
   if (trace_ != nullptr && trace_->enabled()) {
     trace_->SetProcessName(kPidSlo, "slo");
@@ -263,15 +259,15 @@ void SloMonitor::Evaluate(SimTime now) {
     state.slow_burn = BurnOver(state, spec.slow_window_s, spec.budget, now);
     state.worst_fast_burn = std::max(state.worst_fast_burn, state.fast_burn);
     state.worst_slow_burn = std::max(state.worst_slow_burn, state.slow_burn);
-    state.burn_fast_cell->Set(state.fast_burn);
-    state.burn_slow_cell->Set(state.slow_burn);
+    state.cells.burn_fast->Set(state.fast_burn);
+    state.cells.burn_slow->Set(state.slow_burn);
 
     const bool should_fire = state.fast_burn >= spec.fast_burn_threshold &&
                              state.slow_burn >= spec.slow_burn_threshold;
     if (should_fire && !state.firing) {
       state.firing = true;
       ++state.fired_count;
-      ++*state.alerts_cell;
+      ++*state.cells.alerts;
       state.active_alert = alerts_.size();
       SloAlert alert;
       alert.slo = spec.name;
@@ -292,7 +288,7 @@ void SloMonitor::Evaluate(SimTime now) {
         trace_->Instant("slo-clear", "slo", now, kPidSlo, i, {{"slo", spec.name}});
       }
     }
-    state.firing_cell->Set(state.firing ? 1.0 : 0.0);
+    state.cells.firing->Set(state.firing ? 1.0 : 0.0);
   }
   last_eval_ = now;
   evaluated_once_ = true;

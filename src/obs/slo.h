@@ -69,6 +69,14 @@ struct SloAlert {
   double slow_burn = 0.0;
 };
 
+// Each SLO's metrics, labelled with the SLO's name: X(kind, cell, registry
+// family). See "Metric lists" in src/obs/metrics.h.
+#define OFC_SLO_METRICS(X)                                   \
+  X(COUNTER, alerts, "ofc.slo.alerts")                       \
+  X(GAUGE, burn_fast, "ofc.slo.burn_fast")                   \
+  X(GAUGE, burn_slow, "ofc.slo.burn_slow")                   \
+  X(GAUGE, firing, "ofc.slo.firing") /* 1 while alerting. */
+
 class SloMonitor {
  public:
   // `registry` must outlive the monitor; `trace` may be null. Metric cells for
@@ -112,11 +120,10 @@ class SloMonitor {
     double worst_fast_burn = 0.0;
     double worst_slow_burn = 0.0;
     std::uint64_t fired_count = 0;
-    // Eagerly created cells.
-    Counter* alerts_cell = nullptr;
-    Gauge* burn_fast_cell = nullptr;
-    Gauge* burn_slow_cell = nullptr;
-    Gauge* firing_cell = nullptr;
+    struct Cells {
+      OFC_METRIC_CELLS(OFC_SLO_METRICS)
+    };
+    Cells cells;  // Bound at construction.
   };
 
   WindowSample Collect(const SloSpec& spec, SloState* state, SimTime start, SimTime end);

@@ -55,9 +55,7 @@ void TimelineRecorder::Scrape(SimTime now) {
     out.label = label;
     out.value = cell.value();
     PrevCounter& prev = prev_counters_[CellKey(name, label)];
-    // Reset-safe: a counter that moved backwards was Reset(); everything since
-    // the reset counts as this window's delta.
-    out.delta = out.value >= prev.value ? out.value - prev.value : out.value;
+    out.delta = out.value - prev.value;  // Cells only grow.
     out.rate_per_s = window_s > 0.0 ? static_cast<double>(out.delta) / window_s : 0.0;
     prev.value = out.value;
     window.counters.push_back(std::move(out));
@@ -79,17 +77,13 @@ void TimelineRecorder::Scrape(SimTime now) {
     out.label = label;
     out.count = cell.count();
     PrevSeries& prev = prev_series_[CellKey(name, label)];
-    const bool reset = cell.count() < prev.count;
-    const std::size_t prev_count = reset ? 0 : prev.count;
-    const double prev_sum = reset ? 0.0 : prev.sum;
-    const std::size_t prev_stored = reset ? 0 : prev.stored_count;
-    out.delta = static_cast<std::uint64_t>(cell.count() - prev_count);
+    out.delta = static_cast<std::uint64_t>(cell.count() - prev.count);
     if (out.delta > 0) {
-      out.interval_mean = (cell.sum() - prev_sum) / static_cast<double>(out.delta);
+      out.interval_mean = (cell.sum() - prev.sum) / static_cast<double>(out.delta);
     }
     const std::vector<double>& stored = cell.samples().values();
-    if (stored.size() > prev_stored) {
-      std::vector<double> slice(stored.begin() + static_cast<std::ptrdiff_t>(prev_stored),
+    if (stored.size() > prev.stored_count) {
+      std::vector<double> slice(stored.begin() + static_cast<std::ptrdiff_t>(prev.stored_count),
                                 stored.end());
       out.interval_p50 = SlicePercentile(slice, 0.50);
       out.interval_p95 = SlicePercentile(slice, 0.95);

@@ -5,8 +5,7 @@
 // sim::PeriodicTask) and keeps a bounded ring of *windows*. Each window stores,
 // per cell:
 //   * counters — cumulative value, the delta over the window, and the rate/s
-//     (delta is reset-safe: a value that shrank is treated as a restart and
-//     the post-reset value becomes the delta);
+//     (cells are never reset, so the delta is the plain difference);
 //   * gauges   — the instantaneous value at scrape time;
 //   * series   — cumulative count, the window's observation delta, the exact
 //     interval mean (from the RunningStat sum delta), interval p50/p95/p99
@@ -41,7 +40,7 @@ struct TimelineCounter {
   std::string name;
   std::string label;
   std::uint64_t value = 0;  // Cumulative at window end.
-  std::uint64_t delta = 0;  // Increase over this window (reset-safe).
+  std::uint64_t delta = 0;  // Increase over this window.
   double rate_per_s = 0.0;
 };
 

@@ -8,7 +8,11 @@
 namespace ofc::rc {
 
 Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rng rng)
-    : loop_(loop), options_(options), rng_(rng) {
+    : loop_(loop),
+      options_(options),
+      rng_(rng),
+      metrics_(options.metrics),
+      flight_(options.flight) {
   assert(num_nodes > 0);
   nodes_.resize(static_cast<std::size_t>(num_nodes));
   for (NodeStats& node : nodes_) {
@@ -16,19 +20,12 @@ Cluster::Cluster(sim::EventLoop* loop, int num_nodes, ClusterOptions options, Rn
   }
   logs_.assign(static_cast<std::size_t>(num_nodes), SegmentedLog(options_.log));
 
-  metrics_ = options_.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  flight_ = options_.flight;
-  m_.BindCounters(*metrics_);
-  m_.recovery_ms = metrics_->GetSeries("ofc.ramcloud.recovery_ms");
+  m_.Bind(*metrics_);
 }
 
 ClusterStats Cluster::stats() const {
   ClusterStats stats;
-  m_.CopyCounters(stats);
+  m_.CopyTo(stats);
   return stats;
 }
 

@@ -109,29 +109,30 @@ struct RecoveryResult {
   SimDuration duration = 0;      // Parallel partitioned recovery makespan.
 };
 
-// The cluster's plain counters: X(view field, registry family). See "Counter
-// lists" in src/obs/metrics.h.
-#define OFC_CLUSTER_COUNTERS(X)                                                                    \
-  X(reads, "ofc.ramcloud.reads")                                                                   \
-  X(read_hits_local, "ofc.ramcloud.read_hits_local")                                               \
-  X(read_hits_remote, "ofc.ramcloud.read_hits_remote")                                             \
-  X(read_misses, "ofc.ramcloud.read_misses")                                                       \
-  X(writes, "ofc.ramcloud.writes")                                                                 \
-  X(write_rejects, "ofc.ramcloud.write_rejects")                                                   \
-  X(migrations, "ofc.ramcloud.migrations")                                                         \
-  X(evictions, "ofc.ramcloud.evictions")                                                           \
-  X(node_crashes, "ofc.ramcloud.node_crashes")                                                     \
-  X(node_restarts, "ofc.ramcloud.node_restarts")                                                   \
-  X(objects_recovered, "ofc.ramcloud.objects_recovered") /* Backup promotions after crashes. */    \
-  X(objects_lost, "ofc.ramcloud.objects_lost") /* No surviving replica at crash time. */           \
-  X(checksum_failures, "ofc.integrity.checksum_failures") /* Corrupt copies detected. */           \
-  X(integrity_repairs, "ofc.integrity.repairs") /* Copies restored from replica or RSDS. */        \
-  X(read_data_loss, "ofc.integrity.read_data_loss") /* Reads failed: every copy corrupt. */        \
-  X(nodes_quarantined, "ofc.ramcloud.nodes_quarantined") /* Graceful drains triggered by scrub. */
+// The cluster's metrics: X(kind, cell, registry family). See "Metric lists"
+// in src/obs/metrics.h.
+#define OFC_CLUSTER_METRICS(X)                                                                  \
+  X(COUNTER, reads, "ofc.ramcloud.reads")                                                       \
+  X(COUNTER, read_hits_local, "ofc.ramcloud.read_hits_local")                                   \
+  X(COUNTER, read_hits_remote, "ofc.ramcloud.read_hits_remote")                                 \
+  X(COUNTER, read_misses, "ofc.ramcloud.read_misses")                                           \
+  X(COUNTER, writes, "ofc.ramcloud.writes")                                                     \
+  X(COUNTER, write_rejects, "ofc.ramcloud.write_rejects")                                       \
+  X(COUNTER, migrations, "ofc.ramcloud.migrations")                                             \
+  X(COUNTER, evictions, "ofc.ramcloud.evictions")                                               \
+  X(COUNTER, node_crashes, "ofc.ramcloud.node_crashes")                                         \
+  X(COUNTER, node_restarts, "ofc.ramcloud.node_restarts")                                       \
+  X(COUNTER, objects_recovered, "ofc.ramcloud.objects_recovered") /* Backups promoted. */       \
+  X(COUNTER, objects_lost, "ofc.ramcloud.objects_lost") /* No surviving replica. */             \
+  X(COUNTER, checksum_failures, "ofc.integrity.checksum_failures") /* Corrupt copies found. */  \
+  X(COUNTER, integrity_repairs, "ofc.integrity.repairs") /* Copies restored. */                 \
+  X(COUNTER, read_data_loss, "ofc.integrity.read_data_loss") /* Every copy corrupt. */          \
+  X(COUNTER, nodes_quarantined, "ofc.ramcloud.nodes_quarantined") /* Scrub-triggered drains. */ \
+  X(SERIES, recovery_ms, "ofc.ramcloud.recovery_ms") /* Per-crash makespan. */
 
 // Snapshot view over the cluster's registry counters.
 struct ClusterStats {
-  OFC_COUNTER_FIELDS(OFC_CLUSTER_COUNTERS)
+  OFC_METRIC_FIELDS(OFC_CLUSTER_METRICS)
 };
 
 class Cluster {
@@ -337,8 +338,7 @@ class Cluster {
 
   // Registry cells behind ClusterStats; bumped through cached pointers.
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_CLUSTER_COUNTERS, ClusterStats)
-    obs::Series* recovery_ms = nullptr;  // Per-crash recovery makespan.
+    OFC_METRIC_CELLS(OFC_CLUSTER_METRICS)
   };
 
   sim::EventLoop* loop_;
@@ -350,8 +350,7 @@ class Cluster {
   // visit order is event-visible (log packing, eviction order), so it must be
   // independent of hashing.
   ObjectMap objects_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::FlightRecorder* flight_ = nullptr;
   bool FlightOn() const { return flight_ != nullptr && flight_->active(); }
   Metrics m_;

@@ -9,8 +9,8 @@ namespace ofc::store {
 
 ObjectStore::ObjectStore(sim::EventLoop* loop, StoreProfile profile, Rng rng,
                          std::string name, obs::MetricsRegistry* metrics)
-    : loop_(loop), profile_(profile), rng_(rng), name_(std::move(name)) {
-  InitMetrics(metrics);
+    : loop_(loop), profile_(profile), rng_(rng), name_(std::move(name)), metrics_(metrics) {
+  m_.Bind(*metrics_, name_);
 }
 
 ObjectStore::ObjectStore(sim::EventLoop* loop, sim::LatencyModel request_latency, Rng rng,
@@ -23,18 +23,9 @@ ObjectStore::ObjectStore(sim::EventLoop* loop, sim::LatencyModel request_latency
                                    request_latency.jitter_fraction})},
                   rng, std::move(name), metrics) {}
 
-void ObjectStore::InitMetrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  m_.BindCounters(*metrics_, name_);
-}
-
 StoreStats ObjectStore::stats() const {
   StoreStats stats;
-  m_.CopyCounters(stats);
+  m_.CopyTo(stats);
   return stats;
 }
 

@@ -61,25 +61,25 @@ struct ObjectMetadata {
   bool HasPayload() const { return rsds_version > 0; }
 };
 
-// The store's plain counters: X(view field, registry family[, view type]).
-// Cells are labelled with the store's name, so several stores share one
-// registry. See "Counter lists" in src/obs/metrics.h.
-#define OFC_STORE_COUNTERS(X)                                                                    \
-  X(reads, "ofc.store.reads")                                                                    \
-  X(writes, "ofc.store.writes")                                                                  \
-  X(shadow_writes, "ofc.store.shadow_writes")                                                    \
-  X(payload_finalizes, "ofc.store.payload_finalizes")                                            \
-  X(deletes, "ofc.store.deletes")                                                                \
-  X(unavailable_errors, "ofc.store.unavailable_errors") /* Ops rejected during an outage. */     \
-  X(webhook_bypasses, "ofc.store.webhook_bypasses") /* External ops while webhooks dropped. */   \
-  X(checksum_failures, "ofc.integrity.store_checksum_failures") /* Corrupt payloads detected. */ \
-  X(integrity_repairs, "ofc.integrity.store_repairs") /* Fixed from own redundancy. */           \
-  X(bytes_read, "ofc.store.bytes_read", Bytes)                                                   \
-  X(bytes_written, "ofc.store.bytes_written", Bytes)
+// The store's metrics: X(kind, cell, registry family[, view type]). Cells are
+// labelled with the store's name, so several stores share one registry. See
+// "Metric lists" in src/obs/metrics.h.
+#define OFC_STORE_METRICS(X)                                                                     \
+  X(COUNTER, reads, "ofc.store.reads")                                                           \
+  X(COUNTER, writes, "ofc.store.writes")                                                         \
+  X(COUNTER, shadow_writes, "ofc.store.shadow_writes")                                           \
+  X(COUNTER, payload_finalizes, "ofc.store.payload_finalizes")                                   \
+  X(COUNTER, deletes, "ofc.store.deletes")                                                       \
+  X(COUNTER, unavailable_errors, "ofc.store.unavailable_errors") /* Outage rejects. */           \
+  X(COUNTER, webhook_bypasses, "ofc.store.webhook_bypasses") /* Webhooks dropped. */             \
+  X(COUNTER, checksum_failures, "ofc.integrity.store_checksum_failures") /* Corrupt payloads. */ \
+  X(COUNTER, integrity_repairs, "ofc.integrity.store_repairs") /* Own redundancy. */             \
+  X(COUNTER, bytes_read, "ofc.store.bytes_read", Bytes)                                          \
+  X(COUNTER, bytes_written, "ofc.store.bytes_written", Bytes)
 
 // Snapshot view over the store's registry counters.
 struct StoreStats {
-  OFC_COUNTER_FIELDS(OFC_STORE_COUNTERS)
+  OFC_METRIC_FIELDS(OFC_STORE_METRICS)
 };
 
 // Latency profile of a store deployment. Reads and writes are priced
@@ -239,9 +239,8 @@ class ObjectStore {
  private:
   // Registry cells behind StoreStats, labeled with the store's name.
   struct Metrics {
-    OFC_COUNTER_CELLS(OFC_STORE_COUNTERS, StoreStats)
+    OFC_METRIC_CELLS(OFC_STORE_METRICS)
   };
-  void InitMetrics(obs::MetricsRegistry* metrics);
 
   void After(SimDuration delay, std::function<void()> fn);
   SimDuration ControlCost();
@@ -266,8 +265,7 @@ class ObjectStore {
   bool available_ = true;
   double latency_factor_ = 1.0;  // Brownout multiplier; 1.0 = healthy.
   bool webhooks_enabled_ = true;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // When none injected.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   Metrics m_;
   ObjectVersion next_version_ = 1;
 };

@@ -276,6 +276,50 @@ TEST_F(PlatformTest, PipelineRunsAllStages) {
   EXPECT_GT(record.total, 0);
 }
 
+// Counts the pipeline-end notifications the platform sends its data service.
+class CountingDataService : public DirectDataService {
+ public:
+  using DirectDataService::DirectDataService;
+  void OnPipelineComplete(std::uint64_t pipeline_id) override {
+    completed.push_back(pipeline_id);
+  }
+  std::vector<std::uint64_t> completed;
+};
+
+TEST_F(PlatformTest, FailedPipelineStillNotifiesTheDataServiceOnce) {
+  CountingDataService data(&rsds_);
+  Platform platform(&loop_, {}, &data, nullptr, Rng(2));
+  FunctionConfig config;
+  config.spec = TinySpec("s1");
+  config.spec.kind = workloads::InputKind::kText;
+  config.booked_memory = MiB(256);
+  ASSERT_TRUE(platform.RegisterFunction(config).ok());
+  workloads::PipelineSpec pipeline;
+  pipeline.name = "broken_pipe";
+  pipeline.input_kind = workloads::InputKind::kText;
+  pipeline.stages = {{"s1", 0}, {"unregistered", 0}};
+
+  rsds_.Seed("in/chunk", KiB(256), {});
+  workloads::MediaDescriptor media;
+  media.kind = workloads::InputKind::kText;
+  media.byte_size = KiB(256);
+  PipelineRecord record;
+  int calls = 0;
+  platform.InvokePipeline(pipeline, {InputObject{"in/chunk", media}},
+                          [&](const PipelineRecord& r) {
+                            record = r;
+                            ++calls;
+                          });
+  loop_.Run();
+  ASSERT_EQ(calls, 1);
+  EXPECT_TRUE(record.failed);
+  EXPECT_EQ(record.num_tasks, 1u);  // The first stage ran; the second never started.
+  // The failure path is the normal end path: the stage-one intermediates are
+  // released exactly once.
+  ASSERT_EQ(data.completed.size(), 1u);
+  EXPECT_EQ(data.completed[0], record.id);
+}
+
 TEST_F(PlatformTest, AggregateMediaSumsBytes) {
   std::vector<InputObject> inputs;
   inputs.push_back(InputObject{"a", TinyImage(KiB(100))});

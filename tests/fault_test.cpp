@@ -688,7 +688,16 @@ TEST(FaultInjectorTest, ScheduleRejectsUnwiredTargets) {
   FaultInjector injector(&loop, FaultInjectorTargets{nullptr, nullptr, &rsds, nullptr});
   FaultPlan plan;
   plan.events = {FaultEvent{Seconds(1), FaultKind::kWorkerCrash, 0, Seconds(1)}};
-  EXPECT_EQ(injector.Schedule(plan).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(injector.Schedule(plan).code(), StatusCode::kFailedPrecondition);
+  // The wiring checks run before the range checks, which would see 0 nodes
+  // and misreport a node event as out of range instead of naming the cluster.
+  for (FaultKind kind : {FaultKind::kNodeCrash, FaultKind::kCorruptReplica}) {
+    plan.events = {FaultEvent{Seconds(1), kind, 0, Seconds(1), 2.0}};
+    const Status status = injector.Schedule(plan);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find("no cluster is wired"), std::string::npos)
+        << status.ToString();
+  }
   plan.events = {FaultEvent{Seconds(1), FaultKind::kPersistorDrop, -1, Seconds(1)}};
   EXPECT_EQ(injector.Schedule(plan).code(), StatusCode::kFailedPrecondition);
   plan.events = {FaultEvent{Seconds(1), FaultKind::kStoreOutage, -1, Seconds(1)}};

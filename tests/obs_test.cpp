@@ -12,6 +12,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
+#include "src/obs/slo.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
 #include "src/store/object_store.h"
@@ -185,17 +187,6 @@ TEST(MetricsRegistryTest, LabeledCellsAreIndependentAndTotalled) {
   EXPECT_EQ(registry.CounterValue("ofc.test.hits", "sepia"), 4u);
   EXPECT_EQ(registry.CounterValue("ofc.test.hits", "missing"), 0u);
   EXPECT_EQ(registry.CounterTotal("ofc.test.hits"), 7u);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesEveryCell) {
-  MetricsRegistry registry;
-  registry.GetCounter("ofc.test.c")->Add(9);
-  registry.GetGauge("ofc.test.g")->Set(9);
-  registry.GetSeries("ofc.test.s")->Observe(9);
-  registry.Reset();
-  EXPECT_EQ(registry.CounterValue("ofc.test.c"), 0u);
-  EXPECT_DOUBLE_EQ(registry.GaugeValue("ofc.test.g"), 0.0);
-  EXPECT_EQ(registry.FindSeries("ofc.test.s")->count(), 0u);
 }
 
 TEST(MetricsRegistryTest, SnapshotJsonIsWellFormed) {
@@ -411,23 +402,40 @@ TEST(TracedPlatformTest, SamplingSkipsUnsampledInvocations) {
   EXPECT_EQ(json.find("\"ph\": \"X\""), std::string::npos);
 }
 
-// Walks the counter lists one row at a time: the row's family must exist in
-// the registry as a counter, and the component's view must report exactly the
-// cell's value.
-class CounterListAudit {
+// Walks the metric lists one row at a time: each row's cell must exist in the
+// registry under the row's kind and label, and where the row has a view
+// field, the component's view must report exactly the cell's value.
+class MetricListAudit {
  public:
-  explicit CounterListAudit(const MetricsRegistry& registry) : registry_(registry) {
-    registry.VisitCounters(
-        [this](const std::string& name, const std::string& label, const Counter&) {
-          cells_.insert({name, label});
-        });
+  explicit MetricListAudit(const MetricsRegistry& registry) : registry_(registry) {
+    registry.VisitCounters([this](const std::string& name, const std::string& label,
+                                  const Counter&) { cells_.insert({"counter", name, label}); });
+    registry.VisitGauges([this](const std::string& name, const std::string& label,
+                                const Gauge&) { cells_.insert({"gauge", name, label}); });
+    registry.VisitSeries([this](const std::string& name, const std::string& label,
+                                const Series&) { cells_.insert({"series", name, label}); });
   }
 
-  void Row(const std::string& name, std::uint64_t view_value, const std::string& label) {
+  void Cell(const std::string& kind, const std::string& name, const std::string& label) {
     ++rows_;
+    EXPECT_TRUE(cells_.contains({kind, name, label})) << kind << " " << name << "{" << label
+                                                      << "}";
+  }
+  template <typename T>
+  void Cell(const std::string& kind, const std::string& name, const std::string& label,
+            T view_value) {
+    Cell(kind, name, label);
+    const double value = kind == "counter"
+                             ? static_cast<double>(registry_.CounterValue(name, label))
+                             : registry_.GaugeValue(name, label);
+    EXPECT_EQ(static_cast<double>(view_value), value) << name << "{" << label << "}";
     nonzero_ += view_value > 0 ? 1 : 0;
-    EXPECT_TRUE(cells_.contains({name, label})) << name << "{" << label << "}";
-    EXPECT_EQ(view_value, registry_.CounterValue(name, label)) << name << "{" << label << "}";
+  }
+  template <std::size_t N>
+  void Cells(const std::string& name, const char* const (&labels)[N]) {
+    for (const char* label : labels) {
+      Cell("counter", name, label);
+    }
   }
 
   int rows() const { return rows_; }
@@ -435,16 +443,26 @@ class CounterListAudit {
 
  private:
   const MetricsRegistry& registry_;
-  std::set<std::pair<std::string, std::string>> cells_;
+  std::set<std::tuple<std::string, std::string, std::string>> cells_;
   int rows_ = 0;
   int nonzero_ = 0;
 };
 
-// Expands one list row against `view` and `label` in the calling scope.
-#define AUDIT_COUNTER_ROW(field, name, ...) \
-  audit.Row(name, static_cast<std::uint64_t>(view.field), label);
+// Expands one list row against `view`, `label` and `audit` in the calling
+// scope; a COUNTER_PER row audits every label of its array.
+#define AUDIT_ROW(kind, field, name, ...) AUDIT_##kind(field, name __VA_OPT__(, ) __VA_ARGS__)
+#define AUDIT_COUNTER(field, name, ...) audit.Cell("counter", name, label, view.field);
+#define AUDIT_GAUGE(field, name, ...) \
+  audit.Cell("gauge", name, label __VA_OPT__(, view.field));
+#define AUDIT_SERIES(field, name, ...) audit.Cell("series", name, label);
+#define AUDIT_COUNTER_PER(field, name, labels) audit.Cells(name, labels);
+// Rows of a list without a view (per-label lists, the trainer's).
+#define AUDIT_LABEL_ROW(kind, field, name, ...) audit.Cell(AUDIT_KIND_##kind, name, label);
+#define AUDIT_KIND_COUNTER "counter"
+#define AUDIT_KIND_GAUGE "gauge"
+#define AUDIT_KIND_SERIES "series"
 
-TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
+TEST(MetricListTest, EveryRowMatchesItsRegistryCell) {
   faasload::EnvironmentOptions options;
   options.seed = 42;
   faasload::Environment env(faasload::Mode::kOfc, options);
@@ -452,11 +470,16 @@ TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
   plan.events.push_back({Seconds(60), fault::FaultKind::kCorruptReplica, 0, 0, 4.0});
   plan.events.push_back({Seconds(90), fault::FaultKind::kWorkerCrash, 1, Seconds(30)});
   ASSERT_TRUE(env.faults().Schedule(plan).ok());
+  std::vector<SloSpec> slos;
+  std::string error;
+  ASSERT_TRUE(ParseSloSpecs("warm=lat:ofc.platform.total_ms:p99:250", &slos, &error)) << error;
+  env.StartTelemetry(Seconds(30), std::move(slos));
 
   faasload::LoadInjector injector(&env, faasload::TenantProfile::kNormal, /*seed=*/43);
-  for (const char* function : {"wand_blur", "wand_sepia", "wand_edge"}) {
+  const std::vector<std::string> functions = {"wand_blur", "wand_sepia", "wand_edge"};
+  for (const std::string& function : functions) {
     faasload::TenantSpec spec;
-    spec.name = std::string("t-") + function;
+    spec.name = "t-" + function;
     spec.function = function;
     spec.mean_interval_s = 5.0;
     ASSERT_TRUE(injector.AddTenant(spec).ok());
@@ -466,48 +489,71 @@ TEST(CounterListTest, EveryRowMatchesItsRegistryCell) {
   ASSERT_TRUE(scrubber.ok());
   injector.Run(Minutes(5));
 
-  CounterListAudit audit(env.metrics());
+  MetricListAudit audit(env.metrics());
   std::string label;
   {
+    constexpr auto& kShedReasons = faas::Platform::kShedReasons;
     const faas::PlatformStats view = env.platform().stats();
-    OFC_PLATFORM_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_PLATFORM_METRICS(AUDIT_ROW)
   }
   {
     const core::ProxyStats view = env.ofc()->proxy().stats();
-    OFC_PROXY_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_PROXY_METRICS(AUDIT_ROW)
   }
   {
+    constexpr auto& kEvictionReasonNames = core::CacheAgent::kEvictionReasonNames;
     const core::CacheScalingStats view = env.ofc()->cache_agent().stats();
-    OFC_CACHE_AGENT_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_CACHE_AGENT_METRICS(AUDIT_ROW)
   }
   {
     const core::OfcPredictionStats view = env.ofc()->prediction_stats();
-    OFC_PREDICTION_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_PREDICTION_METRICS(AUDIT_ROW)
   }
   {
     const rc::ClusterStats view = env.cluster()->stats();
-    OFC_CLUSTER_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_CLUSTER_METRICS(AUDIT_ROW)
   }
   {
     const core::ScrubberStats view = (*scrubber)->stats();
-    OFC_SCRUBBER_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_SCRUBBER_METRICS(AUDIT_ROW)
   }
   {
     const fault::FaultStats view = env.faults().stats();
-    OFC_FAULT_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_FAULT_METRICS(AUDIT_ROW)
   }
+  OFC_TRAINER_METRICS(AUDIT_LABEL_ROW)
+  OFC_FAULT_CORRUPTION_METRICS(AUDIT_LABEL_ROW)
+  for (const char* kind : {"corrupt_replica", "worker_crash"}) {
+    label = kind;
+    OFC_FAULT_KIND_METRICS(AUDIT_LABEL_ROW)
+  }
+  for (const std::string& function : functions) {
+    label = function;
+    OFC_PLATFORM_FN_METRICS(AUDIT_LABEL_ROW)
+    OFC_PROXY_FN_METRICS(AUDIT_LABEL_ROW)
+  }
+  label = "warm";
+  OFC_SLO_METRICS(AUDIT_LABEL_ROW)
   label = env.rsds().name();  // Store rows are labelled with the store's name.
   {
     const store::StoreStats view = env.rsds().stats();
-    OFC_STORE_COUNTERS(AUDIT_COUNTER_ROW)
+    OFC_STORE_METRICS(AUDIT_ROW)
   }
-  EXPECT_EQ(audit.rows(), 87);
+  EXPECT_EQ(audit.rows(), 133);
   // The run exercised the lists: reads, hits, scale-ups, predictions, scrub
-  // passes and the injected faults all moved their rows off zero.
+  // passes and the injected faults all moved their view rows off zero.
   EXPECT_GE(audit.nonzero(), 30) << "scenario too idle to tell the views from zeros";
 }
 
-#undef AUDIT_COUNTER_ROW
+#undef AUDIT_ROW
+#undef AUDIT_COUNTER
+#undef AUDIT_GAUGE
+#undef AUDIT_SERIES
+#undef AUDIT_COUNTER_PER
+#undef AUDIT_LABEL_ROW
+#undef AUDIT_KIND_COUNTER
+#undef AUDIT_KIND_GAUGE
+#undef AUDIT_KIND_SERIES
 
 }  // namespace
 }  // namespace ofc::obs

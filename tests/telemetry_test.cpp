@@ -45,22 +45,6 @@ TEST(TimelineTest, CounterDeltasAndRates) {
   EXPECT_EQ(timeline.CounterDelta(1, "t.count"), 5u);
 }
 
-TEST(TimelineTest, CounterResetIsTreatedAsRestartNotUnderflow) {
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("t.count");
-  TimelineRecorder timeline(&registry);
-
-  c->Add(10);
-  timeline.Scrape(Seconds(10));
-  c->Reset();
-  c->Add(3);
-  timeline.Scrape(Seconds(20));
-
-  // The shrink is read as a restart: the post-reset value is the delta, never
-  // a wrapped-around huge number.
-  EXPECT_EQ(timeline.windows()[1].counters[0].delta, 3u);
-}
-
 TEST(TimelineTest, ZeroLengthWindowHasZeroRate) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("t.count");

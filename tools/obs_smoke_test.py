@@ -23,7 +23,9 @@ Drives the built CLI binary through the telemetry paths CI cares about:
      writes a --metrics-json byte-identical to
      tests/testdata/goldens/recovery_metrics.json;
   7. --scrub-interval-s without a cache cluster (--mode=owk-swift) exits 1
-     with a message naming the flag.
+     with a message naming the flag;
+  8. a fault plan that crashes a node in a mode without a cache cluster
+     exits nonzero saying no cluster is wired (not a range error).
 
 Usage: obs_smoke_test.py <path-to-ofc-sim> [--keep-artifacts DIR]
 Exit status: 0 clean, 1 failure, 2 usage error.
@@ -180,6 +182,15 @@ def check_scrubber_needs_cluster(binary):
              f"scrubber needs a cache cluster: {proc.stderr.strip()!r}")
 
 
+def check_fault_plan_needs_cluster(binary):
+    proc = run(binary, ["--mode=owk-swift", "--crash-node-at=0:10"])
+    if proc.returncode == 0:
+        fail("--mode=owk-swift --crash-node-at=0:10 exited 0; expected nonzero")
+    if "no cluster is wired" not in proc.stderr:
+        fail(f"--mode=owk-swift --crash-node-at=0:10: stderr does not say no "
+             f"cluster is wired: {proc.stderr.strip()!r}")
+
+
 def main():
     if len(sys.argv) < 2:
         print(__doc__, file=sys.stderr)
@@ -196,6 +207,7 @@ def main():
         check_bad_numeric_flags(binary)
         check_recovery_golden(binary, outdir)
         check_scrubber_needs_cluster(binary)
+        check_fault_plan_needs_cluster(binary)
     if _failures:
         print(f"obs_smoke_test: {len(_failures)} failure(s)", file=sys.stderr)
         return 1

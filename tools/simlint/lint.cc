@@ -759,23 +759,34 @@ class Analyzer {
     if (in_src_) {
       Report(line, "metric-name-audit",
              "metric family name " + site +
-                 " must be a string literal so it can be audited against "
-                 "the DESIGN.md metrics table");
+                 " must be a string literal so the metric inventory can list it");
     }
   }
 
-  // Rows of a counter list (src/obs/metrics.h "Counter lists"), starting at
-  // `i`, the first token after `#define NAME_COUNTERS(param)`: each
-  // `param(field, "ofc.x.y"[, Type])` registers a counter. Returns the index
-  // of the last row token.
-  std::size_t CounterListRows(std::size_t i, const std::string& param) {
+  // Rows of a metric list (src/obs/metrics.h "Metric lists"), starting at `i`,
+  // the first token after `#define NAME_METRICS(param)`: each
+  // `param(KIND, field, "ofc.x.y"[, ...])` registers the family under the
+  // row's kind. Returns the index of the last row token.
+  std::size_t MetricListRows(std::size_t i, const std::string& param) {
+    static const std::map<std::string, std::string> kKinds = {
+        {"COUNTER", "counter"},
+        {"GAUGE", "gauge"},
+        {"SERIES", "series"},
+        {"COUNTER_PER", "counter"}};
     while (IsId(i, param.c_str()) && IsPunct(i + 1, "(")) {
       const std::size_t close = Match(i + 1);
-      if (i + 4 < close && Tok(i + 2).kind == TokKind::kIdentifier && IsPunct(i + 3, ",") &&
-          Tok(i + 4).kind == TokKind::kString) {
-        AuditMetricName(Tok(i + 4), "counter");
+      const auto kind = kKinds.find(Tok(i + 2).text);
+      if (i + 6 >= close || Tok(i + 2).kind != TokKind::kIdentifier || kind == kKinds.end()) {
+        if (in_src_) {
+          Report(Tok(i).line, "metric-name-audit",
+                 "metric list row must start with its kind: COUNTER, GAUGE, SERIES or "
+                 "COUNTER_PER");
+        }
+      } else if (IsPunct(i + 3, ",") && Tok(i + 4).kind == TokKind::kIdentifier &&
+                 IsPunct(i + 5, ",") && Tok(i + 6).kind == TokKind::kString) {
+        AuditMetricName(Tok(i + 6), kind->second);
       } else {
-        ReportNonLiteralName(Tok(i).line, "in a counter list row");
+        ReportNonLiteralName(Tok(i).line, "in a metric list row");
       }
       i = close + 1;
     }
@@ -783,8 +794,7 @@ class Analyzer {
   }
 
   void IncludesAndMetrics() {
-    static const std::map<std::string, std::string> kRegs = {
-        {"GetCounter", "counter"}, {"GetGauge", "gauge"}, {"GetSeries", "series"}};
+    static const std::set<std::string> kRegs = {"GetCounter", "GetGauge", "GetSeries"};
     for (std::size_t i = 0; i < Size(); ++i) {
       if (IsPunct(i, "#") && IsId(i + 1, "include") && i + 2 < Size() &&
           Tok(i + 2).kind == TokKind::kString) {
@@ -792,19 +802,20 @@ class Analyzer {
         continue;
       }
       if (IsPunct(i, "#") && IsId(i + 1, "define") && i + 5 < Size() &&
-          Tok(i + 2).kind == TokKind::kIdentifier && EndsWith(Tok(i + 2).text, "_COUNTERS") &&
+          Tok(i + 2).kind == TokKind::kIdentifier && EndsWith(Tok(i + 2).text, "_METRICS") &&
           IsPunct(i + 3, "(") && Tok(i + 4).kind == TokKind::kIdentifier &&
           IsPunct(i + 5, ")")) {
-        i = CounterListRows(i + 6, Tok(i + 4).text);
+        i = MetricListRows(i + 6, Tok(i + 4).text);
         continue;
       }
-      if (Tok(i).kind == TokKind::kIdentifier && kRegs.contains(Tok(i).text) &&
-          IsPunct(i + 1, "(") && (IsPunct(i - 1, ".") || IsPunct(i - 1, "->"))) {
-        if (i + 2 < Size() && Tok(i + 2).kind == TokKind::kString) {
-          AuditMetricName(Tok(i + 2), kRegs.at(Tok(i).text));
-        } else {
-          ReportNonLiteralName(Tok(i).line, "passed to " + Tok(i).text);
-        }
+      // Component code registers through its metric lists; only src/obs/
+      // (the registry and the list machinery) calls the Get* accessors.
+      if (in_src_ && !in_obs_ && Tok(i).kind == TokKind::kIdentifier &&
+          kRegs.contains(Tok(i).text) && IsPunct(i + 1, "(") &&
+          (IsPunct(i - 1, ".") || IsPunct(i - 1, "->"))) {
+        Report(Tok(i).line, "metric-name-audit",
+               Tok(i).text + " call in component code: register through a metric list "
+                             "(see \"Metric lists\" in src/obs/metrics.h)");
       }
     }
   }

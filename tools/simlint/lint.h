@@ -34,14 +34,15 @@
 //                       side effect with it. Mutations of locals declared
 //                       inside the argument (e.g. an IIFE's accumulators) are
 //                       invisible outside and allowed.
-//   metric-name-audit   (file-local half) metric family names passed to
-//                       GetCounter/GetGauge/GetSeries in src/, and the name
-//                       column of each counter-list row (`X(field, "name")`
-//                       under `#define *_COUNTERS(X)`, registered as a
-//                       counter), must be string literals matching
-//                       `ofc.<component>.<name>` with lower_snake segments.
-//                       The cross-file half (kind conflicts, DESIGN.md
-//                       table) lives in project.h.
+//   metric-name-audit   (file-local half) metrics are registered only
+//                       through metric-list rows (`X(KIND, field, "name"...)`
+//                       under `#define *_METRICS(X)`, KIND one of COUNTER,
+//                       GAUGE, SERIES, COUNTER_PER): a GetCounter/GetGauge/
+//                       GetSeries call in src/ outside src/obs/ is flagged,
+//                       and each row's name must be a string literal
+//                       matching `ofc.<component>.<name>` with lower_snake
+//                       segments. The cross-file half (kind conflicts)
+//                       lives in project.h.
 //   suppression         a `simlint: allow(...)` comment without a
 //                       justification.
 //
@@ -86,8 +87,7 @@ struct IncludeDecl {
   int line = 0;
 };
 
-// A metric family registration with a literal name: a Get* call or a
-// counter-list row.
+// A metric family registration with a literal name: a metric-list row.
 struct MetricReg {
   std::string name;
   std::string kind;  // "counter" | "gauge" | "series"

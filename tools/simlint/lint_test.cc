@@ -123,42 +123,78 @@ TEST(SimlintTest, HoistedMutationOutsideDcheckIsClean) {
 TEST(SimlintTest, FlagsMetricNameViolations) {
   const auto findings = LintSource("src/core/violation_metric_name.cc",
                                    ReadFixture("violation_metric_name.cc"));
-  EXPECT_EQ(findings.size(), 6u) << (findings.empty() ? "" : FormatFinding(findings[0]));
+  EXPECT_EQ(findings.size(), 8u) << (findings.empty() ? "" : FormatFinding(findings[0]));
   EXPECT_TRUE(AllRule(findings, "metric-name-audit"));
-  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 12));  // missing ofc.
-  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 13));  // not lower_snake
-  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 14));  // two segments
-  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 15));  // non-literal
-  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 20));  // list row: missing ofc.
-  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 21));  // list row: non-literal
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 12));  // GetCounter
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 13));  // GetGauge
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 14));  // GetSeries
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 22));  // row: missing ofc.
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 23));  // row: not lower_snake
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 24));  // row: two segments
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 25));  // row: non-literal
+  EXPECT_TRUE(HasFinding(findings, "metric-name-audit", 26));  // row: no kind
 }
 
 TEST(SimlintTest, CounterListRowsAreCounterRegistrations) {
   const std::string src =
-      "#define OFC_AGENT_COUNTERS(ROW)              \\\n"
-      "  /* Served from the cache. */               \\\n"
-      "  ROW(hits, \"ofc.agent.hits\")               \\\n"
-      "  ROW(bytes, \"ofc.agent.bytes\", Bytes)\n"
-      "#define OFC_AGENT_FIELDS(ROW) ROW(misses, \"ofc.agent.misses\")\n"
-      "void Bind(Registry* r) { r->GetGauge(\"ofc.agent.depth\"); }\n";
+      "#define OFC_AGENT_METRICS(ROW)                        \\\n"
+      "  /* Served from the cache. */                         \\\n"
+      "  ROW(COUNTER, hits, \"ofc.agent.hits\")                 \\\n"
+      "  ROW(COUNTER, bytes, \"ofc.agent.bytes\", Bytes)        \\\n"
+      "  ROW(COUNTER_PER, drops, \"ofc.agent.drops\", kReasons)\n"
+      "#define OFC_AGENT_FIELDS(ROW) ROW(COUNTER, misses, \"ofc.agent.misses\")\n";
   const FileAnalysis fa = AnalyzeSource("src/core/agent.h", src);
   EXPECT_TRUE(fa.findings.empty()) << FormatFinding(fa.findings[0]);
-  // Only `*_COUNTERS` lists are read; the Get* call is still audited.
+  // Only `*_METRICS` lists are read.
   ASSERT_EQ(fa.metrics.size(), 3u);
   EXPECT_EQ(fa.metrics[0].name, "ofc.agent.hits");
   EXPECT_EQ(fa.metrics[0].kind, "counter");
   EXPECT_EQ(fa.metrics[0].line, 3);
   EXPECT_EQ(fa.metrics[1].name, "ofc.agent.bytes");
   EXPECT_EQ(fa.metrics[1].kind, "counter");
-  EXPECT_EQ(fa.metrics[2].name, "ofc.agent.depth");
-  EXPECT_EQ(fa.metrics[2].kind, "gauge");
+  EXPECT_EQ(fa.metrics[2].name, "ofc.agent.drops");
+  EXPECT_EQ(fa.metrics[2].kind, "counter");
+}
+
+TEST(SimlintTest, MetricListRowOfEachKindIsClean) {
+  const std::string src =
+      "#define OFC_AGENT_METRICS(X)                                      \\\n"
+      "  X(COUNTER, hits, \"ofc.agent.hits\")                              \\\n"
+      "  X(GAUGE, busy_time, \"ofc.agent.busy_time_us\", SimDuration)      \\\n"
+      "  X(GAUGE, depth, \"ofc.agent.depth\") /* No view field. */         \\\n"
+      "  X(SERIES, wait_ms, \"ofc.agent.wait_ms\")                         \\\n"
+      "  X(COUNTER_PER, drops, \"ofc.agent.drops\", kReasons)\n";
+  const FileAnalysis fa = AnalyzeSource("src/core/agent.h", src);
+  EXPECT_TRUE(fa.findings.empty()) << FormatFinding(fa.findings[0]);
+  ASSERT_EQ(fa.metrics.size(), 5u);
+  const std::vector<std::string> kinds = {"counter", "gauge", "gauge", "series", "counter"};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(fa.metrics[i].kind, kinds[i]) << fa.metrics[i].name;
+    EXPECT_EQ(fa.metrics[i].line, static_cast<int>(i) + 2);
+  }
+}
+
+TEST(SimlintTest, GetCallsRegisterNothingAndAreFlaggedOnlyInComponentCode) {
+  const std::string src = "void Bind(Registry* r) { r->GetGauge(\"ofc.agent.depth\"); }\n";
+  const FileAnalysis component = AnalyzeSource("src/core/agent.cc", src);
+  ASSERT_EQ(component.findings.size(), 1u);
+  EXPECT_EQ(component.findings[0].rule, "metric-name-audit");
+  EXPECT_NE(component.findings[0].message.find("register through a metric list"),
+            std::string::npos);
+  EXPECT_TRUE(component.metrics.empty());
+  // The registry's own machinery and tests/tools may call the accessors.
+  for (const char* label : {"src/obs/metrics.h", "tests/obs_test.cpp", "bench/x.cpp"}) {
+    const FileAnalysis fa = AnalyzeSource(label, src);
+    EXPECT_TRUE(fa.findings.empty()) << label << ": " << FormatFinding(fa.findings[0]);
+    EXPECT_TRUE(fa.metrics.empty()) << label;
+  }
 }
 
 TEST(SimlintTest, FlagsBadGrammarInCounterListRow) {
   const std::string src =
-      "#define OFC_AGENT_COUNTERS(X) \\\n"
-      "  X(hits, \"ofc.agent.hits\")  \\\n"
-      "  X(misses, \"ofc.agent.Misses\")\n";
+      "#define OFC_AGENT_METRICS(X)          \\\n"
+      "  X(COUNTER, hits, \"ofc.agent.hits\")  \\\n"
+      "  X(COUNTER, misses, \"ofc.agent.Misses\")\n";
   const auto findings = LintSource("src/core/agent.h", src);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].line, 3);
@@ -170,9 +206,8 @@ TEST(SimlintTest, AnalyzeSourceExportsIncludesMetricsAndMembers) {
   const std::string src =
       "#include \"src/obs/metrics.h\"\n"
       "#include <unordered_map>\n"
+      "#define OFC_AGENT_METRICS(X) X(COUNTER, hits, \"ofc.agent.hits\")\n"
       "struct Agent {\n"
-      "  explicit Agent(Registry* r) : hits_(r->GetCounter(\"ofc.agent.hits\")) {}\n"
-      "  int* hits_;\n"
       "  std::unordered_map<int, int> table_;\n"
       "};\n";
   const FileAnalysis fa = AnalyzeSource("src/core/agent.h", src);

@@ -140,54 +140,6 @@ std::string JoinSorted(const std::set<std::string>& items) {
   return out.empty() ? "nothing" : out;
 }
 
-// ---- DESIGN.md metrics table -------------------------------------------------
-
-struct DesignMetricRow {
-  std::string kind;
-  int line = 0;  // 1-based line in DESIGN.md.
-};
-
-// Parses `| `ofc.x.y` | kind | ...` table rows anywhere in DESIGN.md.
-std::map<std::string, DesignMetricRow> ParseDesignMetrics(std::string_view design_md) {
-  std::map<std::string, DesignMetricRow> rows;
-  const std::vector<std::string> lines = SplitLines(design_md);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    std::size_t p = line.find_first_not_of(" \t");
-    if (p == std::string::npos || line[p] != '|') {
-      continue;
-    }
-    // First cell: `name`.
-    std::size_t tick1 = line.find('`', p);
-    if (tick1 == std::string::npos) {
-      continue;
-    }
-    std::size_t tick2 = line.find('`', tick1 + 1);
-    if (tick2 == std::string::npos) {
-      continue;
-    }
-    const std::string name = line.substr(tick1 + 1, tick2 - tick1 - 1);
-    if (name.rfind("ofc.", 0) != 0) {
-      continue;
-    }
-    // Second cell: the kind word.
-    std::size_t bar = line.find('|', tick2);
-    if (bar == std::string::npos) {
-      continue;
-    }
-    std::size_t k = line.find_first_not_of(" \t", bar + 1);
-    std::string kind;
-    while (k != std::string::npos && k < line.size() &&
-           (std::isalpha(static_cast<unsigned char>(line[k])) != 0)) {
-      kind += line[k++];
-    }
-    if (kind == "counter" || kind == "gauge" || kind == "series") {
-      rows[name] = {kind, static_cast<int>(i) + 1};
-    }
-  }
-  return rows;
-}
-
 }  // namespace
 
 std::uint64_t Fnv64(std::string_view data) {
@@ -324,7 +276,7 @@ ProjectResult AnalyzeProject(const std::vector<SourceFile>& files,
       }
     }
 
-    // ---- metric-name-audit: kind conflicts + DESIGN.md table -----------------
+    // ---- metric-name-audit: kind conflicts ---------------------------------
     struct RegSite {
       std::string file;
       std::string kind;
@@ -339,60 +291,24 @@ ProjectResult AnalyzeProject(const std::vector<SourceFile>& files,
         registry[reg.name].push_back({f->path, reg.kind, reg.line});
       }
     }
-    const std::map<std::string, DesignMetricRow> design =
-        options.design_md.empty() ? std::map<std::string, DesignMetricRow>{}
-                                  : ParseDesignMetrics(options.design_md);
     for (const auto& [name, sites] : registry) {
       const RegSite& first = sites.front();
-      const auto& suppressions = analyses[first.file].suppressions;
       std::set<std::string> kinds;
       for (const RegSite& site : sites) {
         kinds.insert(site.kind);
       }
-      if (kinds.size() > 1) {
+      if (kinds.size() > 1 &&
+          !analyses[first.file].suppressions.IsSuppressed(first.line, "metric-name-audit")) {
         std::string where;
         for (const RegSite& site : sites) {
           where += " " + site.file + ":" + std::to_string(site.line) + "(" + site.kind + ")";
         }
-        if (!suppressions.IsSuppressed(first.line, "metric-name-audit")) {
-          result.findings.push_back(
-              {first.file, first.line, "metric-name-audit",
-               "metric family '" + name + "' registered with conflicting kinds:" + where,
-               "", false});
-        }
-      }
-      if (!options.design_md.empty()) {
-        auto row = design.find(name);
-        if (row == design.end()) {
-          if (!suppressions.IsSuppressed(first.line, "metric-name-audit")) {
-            result.findings.push_back(
-                {first.file, first.line, "metric-name-audit",
-                 "metric family '" + name +
-                     "' is not documented in the DESIGN.md metric inventory table "
-                     "(regenerate with `simlint --list-metrics`)",
-                 "", false});
-          }
-        } else if (kinds.size() == 1 && row->second.kind != first.kind) {
-          result.findings.push_back(
-              {options.design_md_label, row->second.line, "metric-name-audit",
-               "DESIGN.md documents '" + name + "' as a " + row->second.kind +
-                   " but the code registers a " + first.kind,
-               "", false});
-        }
+        result.findings.push_back(
+            {first.file, first.line, "metric-name-audit",
+             "metric family '" + name + "' registered with conflicting kinds:" + where, "",
+             false});
       }
       result.metrics.push_back({name, *kinds.begin(), first.file});
-    }
-    if (!options.design_md.empty()) {
-      for (const auto& [name, row] : design) {
-        if (!registry.contains(name)) {
-          result.findings.push_back(
-              {options.design_md_label, row.line, "metric-name-audit",
-               "DESIGN.md metric inventory lists '" + name +
-                   "' but nothing in src/ registers it; drop the row or restore "
-                   "the metric",
-               "", false});
-        }
-      }
     }
 
     // ---- unordered-iter: cross-file members ----------------------------------
@@ -426,16 +342,10 @@ ProjectResult AnalyzeProject(const std::vector<SourceFile>& files,
 
   // ---- Stable ids ------------------------------------------------------------
   SortFindings(&result.findings);
-  const std::vector<std::string> design_lines = SplitLines(options.design_md);
   std::map<std::string, int> ordinals;  // (rule|file|anchor) → next ordinal.
   for (Finding& f : result.findings) {
-    std::string anchor;
-    if (f.file == options.design_md_label) {
-      anchor = AnchorText(design_lines, f.line);
-    } else {
-      auto it = file_lines.find(f.file);
-      anchor = it == file_lines.end() ? "" : AnchorText(it->second, f.line);
-    }
+    auto it = file_lines.find(f.file);
+    const std::string anchor = it == file_lines.end() ? "" : AnchorText(it->second, f.line);
     const std::string key = f.rule + "|" + f.file + "|" + anchor;
     const int ordinal = ordinals[key]++;
     char buf[32];

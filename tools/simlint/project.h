@@ -11,13 +11,10 @@
 //                      unknown subsystems, and file-level include cycles are
 //                      errors.
 //   metric-name-audit  (cross-file half) every `ofc.*` metric family name
-//                      registered in src/ via GetCounter/GetGauge/GetSeries
-//                      or a counter-list row:
-//                      a name registered with conflicting kinds is an error;
-//                      a name missing from the DESIGN.md metrics table is an
-//                      error; a table row whose name is no longer registered
-//                      (or whose kind disagrees) is an error anchored at
-//                      DESIGN.md.
+//                      registered by a metric-list row in src/: a name
+//                      registered with conflicting kinds is an error. The
+//                      rows are also the metric inventory (ProjectResult::
+//                      metrics, `simlint --list-metrics`).
 //   unordered-iter     (cross-file half) an iteration whose loop body reaches
 //                      event-visible state, over a name declared as a
 //                      std::unordered_* member in this file or a directly
@@ -51,10 +48,6 @@ struct SourceFile {
 
 struct ProjectOptions {
   LintOptions lint;
-  // Contents of DESIGN.md; empty disables the metrics-table half of
-  // metric-name-audit (grammar and kind-conflict checks still run).
-  std::string design_md;
-  std::string design_md_label = "DESIGN.md";
   // Cross-file passes only make sense when src/ was scanned.
   bool project_rules = true;
 };
@@ -113,7 +106,7 @@ std::string FindingsJson(const ProjectResult& result);
 // findings.
 std::string GithubAnnotations(const ProjectResult& result);
 
-// Markdown rows for the DESIGN.md metric inventory table.
+// Markdown rows of the metric inventory table (one per family).
 std::string MetricsMarkdown(const ProjectResult& result);
 
 // Stable 64-bit FNV-1a, exposed for tests.

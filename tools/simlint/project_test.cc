@@ -19,12 +19,6 @@ std::vector<Finding> FindingsFor(const ProjectResult& result, const std::string&
   return out;
 }
 
-ProjectOptions NoDesign() {
-  ProjectOptions options;
-  options.design_md.clear();
-  return options;
-}
-
 // ---- layer-cycle -------------------------------------------------------------
 
 TEST(ProjectTest, UpwardIncludeViolatesLayerDag) {
@@ -32,7 +26,7 @@ TEST(ProjectTest, UpwardIncludeViolatesLayerDag) {
       {"src/store/swift.h", "#include \"src/core/proxy.h\"\n"},
       {"src/core/proxy.h", "int x;\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   const auto findings = FindingsFor(result, "layer-cycle");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/store/swift.h");
@@ -50,7 +44,7 @@ TEST(ProjectTest, DownwardIncludesConformToLayerDag) {
       {"src/sim/event_loop.h", "#include \"src/common/units.h\"\n"},
       {"src/common/units.h", "int u;\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   EXPECT_TRUE(result.findings.empty()) << result.findings.front().message;
 }
 
@@ -59,7 +53,7 @@ TEST(ProjectTest, UnknownSubsystemIsFlagged) {
       {"src/experimental/x.h", "#include \"src/common/units.h\"\n"},
       {"src/common/units.h", "int u;\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   const auto findings = FindingsFor(result, "layer-cycle");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("not in the architecture DAG"), std::string::npos);
@@ -71,7 +65,7 @@ TEST(ProjectTest, IncludeCycleIsDetectedOnce) {
       {"src/sim/b.h", "#include \"src/sim/c.h\"\n"},
       {"src/sim/c.h", "#include \"src/sim/a.h\"\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   const auto findings = FindingsFor(result, "layer-cycle");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("include cycle"), std::string::npos);
@@ -86,7 +80,7 @@ TEST(ProjectTest, SuppressedUpwardIncludeIsHonored) {
        "#include \"src/core/proxy.h\"\n"},
       {"src/core/proxy.h", "int x;\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   EXPECT_TRUE(FindingsFor(result, "layer-cycle").empty());
 }
 
@@ -94,62 +88,27 @@ TEST(ProjectTest, SuppressedUpwardIncludeIsHonored) {
 
 TEST(ProjectTest, ConflictingMetricKindsAreFlagged) {
   const std::vector<SourceFile> files = {
-      {"src/core/a.cc", "void A(R* r) { r->GetCounter(\"ofc.core.widgets\"); }\n"},
-      {"src/core/b.cc", "void B(R* r) { r->GetGauge(\"ofc.core.widgets\"); }\n"},
+      {"src/core/a.h", "#define OFC_A_METRICS(X) X(COUNTER, widgets, \"ofc.core.widgets\")\n"},
+      {"src/core/b.h", "#define OFC_B_METRICS(X) X(GAUGE, widgets, \"ofc.core.widgets\")\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   const auto findings = FindingsFor(result, "metric-name-audit");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("conflicting kinds"), std::string::npos);
-  EXPECT_EQ(findings[0].file, "src/core/a.cc");  // First registering file.
-}
-
-TEST(ProjectTest, MetricMissingFromDesignTableIsFlagged) {
-  ProjectOptions options;
-  options.design_md = "| `ofc.core.documented` | counter | src/core/a.cc |\n";
-  const std::vector<SourceFile> files = {
-      {"src/core/a.cc",
-       "void A(R* r) {\n"
-       "  r->GetCounter(\"ofc.core.documented\");\n"
-       "  r->GetCounter(\"ofc.core.undocumented\");\n"
-       "}\n"},
-  };
-  const auto result = AnalyzeProject(files, options);
-  const auto findings = FindingsFor(result, "metric-name-audit");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].line, 3);
-  EXPECT_NE(findings[0].message.find("ofc.core.undocumented"), std::string::npos);
-}
-
-TEST(ProjectTest, StaleDesignRowAndKindMismatchAnchorAtDesignMd) {
-  ProjectOptions options;
-  options.design_md =
-      "| `ofc.core.gone` | counter | src/core/a.cc |\n"
-      "| `ofc.core.kept` | gauge | src/core/a.cc |\n";
-  const std::vector<SourceFile> files = {
-      {"src/core/a.cc", "void A(R* r) { r->GetSeries(\"ofc.core.kept\"); }\n"},
-  };
-  const auto result = AnalyzeProject(files, options);
-  const auto findings = FindingsFor(result, "metric-name-audit");
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_EQ(findings[0].file, "DESIGN.md");
-  EXPECT_EQ(findings[1].file, "DESIGN.md");
-  // Stale row anchored at line 1, kind mismatch at line 2.
-  EXPECT_NE(findings[0].message.find("nothing in src/ registers it"), std::string::npos);
-  EXPECT_EQ(findings[0].line, 1);
-  EXPECT_NE(findings[1].message.find("as a gauge but the code registers a series"),
-            std::string::npos);
-  EXPECT_EQ(findings[1].line, 2);
+  EXPECT_EQ(findings[0].file, "src/core/a.h");  // First registering file.
 }
 
 TEST(ProjectTest, CounterListRowConflictsWithGaugeElsewhere) {
   const std::vector<SourceFile> files = {
       {"src/core/a.h",
-       "#define OFC_A_COUNTERS(X) \\\n"
-       "  X(widgets, \"ofc.core.widgets\")\n"},
-      {"src/core/b.cc", "void B(R* r) { r->GetGauge(\"ofc.core.widgets\"); }\n"},
+       "#define OFC_A_METRICS(X) \\\n"
+       "  X(COUNTER, widgets, \"ofc.core.widgets\")\n"},
+      {"src/core/b.h",
+       "#define OFC_B_METRICS(X) \\\n"
+       "  X(SERIES, widgets_ms, \"ofc.core.widgets_ms\") \\\n"
+       "  X(GAUGE, widgets, \"ofc.core.widgets\")\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   const auto findings = FindingsFor(result, "metric-name-audit");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("conflicting kinds"), std::string::npos);
@@ -157,46 +116,21 @@ TEST(ProjectTest, CounterListRowConflictsWithGaugeElsewhere) {
   EXPECT_EQ(findings[0].line, 2);
 }
 
-TEST(ProjectTest, CounterListDriftFromDesignTableIsFlagged) {
-  ProjectOptions options;
-  options.design_md =
-      "| `ofc.core.gone` | counter | src/core/a.h |\n"
-      "| `ofc.core.kept` | counter | src/core/a.h |\n";
-  const std::vector<SourceFile> files = {
-      {"src/core/a.h",
-       "#define OFC_A_COUNTERS(X)  \\\n"
-       "  X(kept, \"ofc.core.kept\") \\\n"
-       "  X(added, \"ofc.core.added\")\n"},
-  };
-  const auto result = AnalyzeProject(files, options);
-  const auto findings = FindingsFor(result, "metric-name-audit");
-  ASSERT_EQ(findings.size(), 2u);
-  // Stale table row anchored at DESIGN.md; the undocumented row at its line.
-  EXPECT_EQ(findings[0].file, "DESIGN.md");
-  EXPECT_EQ(findings[0].line, 1);
-  EXPECT_NE(findings[0].message.find("'ofc.core.gone'"), std::string::npos);
-  EXPECT_EQ(findings[1].file, "src/core/a.h");
-  EXPECT_EQ(findings[1].line, 3);
-  EXPECT_NE(findings[1].message.find("'ofc.core.added' is not documented"),
-            std::string::npos);
-  ASSERT_EQ(result.metrics.size(), 2u);
-  EXPECT_EQ(MetricsMarkdown(result),
-            "| `ofc.core.added` | counter | src/core/a.h |\n"
-            "| `ofc.core.kept` | counter | src/core/a.h |\n");
-}
-
 TEST(ProjectTest, MetricInventoryIsSortedAndMarkdownRendered) {
   const std::vector<SourceFile> files = {
-      {"src/core/z.cc", "void Z(R* r) { r->GetGauge(\"ofc.core.zeta\"); }\n"},
-      {"src/core/a.cc", "void A(R* r) { r->GetCounter(\"ofc.core.alpha\"); }\n"},
+      {"src/core/z.h", "#define OFC_Z_METRICS(X) X(GAUGE, zeta, \"ofc.core.zeta\")\n"},
+      {"src/core/a.h",
+       "#define OFC_A_METRICS(X) X(COUNTER_PER, alpha, \"ofc.core.alpha\", kReasons)\n"},
+      // Tests and tools may drive a registry directly; they register nothing.
+      {"tests/t.cc", "void T(R* r) { r->GetSeries(\"ofc.test.scratch\"); }\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   ASSERT_EQ(result.metrics.size(), 2u);
   EXPECT_EQ(result.metrics[0].name, "ofc.core.alpha");
   EXPECT_EQ(result.metrics[1].name, "ofc.core.zeta");
   EXPECT_EQ(MetricsMarkdown(result),
-            "| `ofc.core.alpha` | counter | src/core/a.cc |\n"
-            "| `ofc.core.zeta` | gauge | src/core/z.cc |\n");
+            "| `ofc.core.alpha` | counter | src/core/a.h |\n"
+            "| `ofc.core.zeta` | gauge | src/core/z.h |\n");
 }
 
 // ---- unordered-iter (cross-file) ---------------------------------------------
@@ -217,7 +151,7 @@ TEST(ProjectTest, IterationOverMemberDeclaredInIncludedHeaderIsFlagged) {
        "  }\n"
        "}\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   const auto findings = FindingsFor(result, "unordered-iter");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/core/agent.cc");
@@ -242,7 +176,7 @@ TEST(ProjectTest, SinklessIterationOverIncludedMemberIsClean) {
        "  return total;\n"
        "}\n"},
   };
-  const auto result = AnalyzeProject(files, NoDesign());
+  const auto result = AnalyzeProject(files, ProjectOptions{});
   EXPECT_TRUE(FindingsFor(result, "unordered-iter").empty());
 }
 
@@ -255,8 +189,8 @@ TEST(ProjectTest, FindingIdsAreStableAcrossUnrelatedEdits) {
                             "// A new comment shifts every line.\n"
                             "int unrelated;\n"
                             "void A(R* r) { r->GetCounter(\"bad name\"); }\n"};
-  const auto r1 = AnalyzeProject({before}, NoDesign());
-  const auto r2 = AnalyzeProject({after}, NoDesign());
+  const auto r1 = AnalyzeProject({before}, ProjectOptions{});
+  const auto r2 = AnalyzeProject({after}, ProjectOptions{});
   ASSERT_EQ(r1.findings.size(), 1u);
   ASSERT_EQ(r2.findings.size(), 1u);
   EXPECT_EQ(r1.findings[0].rule, "metric-name-audit");
@@ -269,8 +203,8 @@ TEST(ProjectTest, EditingTheFlaggedLineChangesTheId) {
                              "void A(R* r) { r->GetCounter(\"bad name\"); }\n"};
   const SourceFile after = {"src/core/a.cc",
                             "void A(R* r) { r->GetCounter(\"bad renamed\"); }\n"};
-  const auto r1 = AnalyzeProject({before}, NoDesign());
-  const auto r2 = AnalyzeProject({after}, NoDesign());
+  const auto r1 = AnalyzeProject({before}, ProjectOptions{});
+  const auto r2 = AnalyzeProject({after}, ProjectOptions{});
   ASSERT_EQ(r1.findings.size(), 1u);
   ASSERT_EQ(r2.findings.size(), 1u);
   EXPECT_NE(r1.findings[0].id, r2.findings[0].id);
@@ -280,7 +214,7 @@ TEST(ProjectTest, IdenticalAnchorLinesGetDistinctOrdinalIds) {
   const SourceFile file = {"src/core/a.cc",
                            "void A(R* r) { r->GetCounter(\"bad name\"); }\n"
                            "void B(R* r) { r->GetCounter(\"bad name\"); }\n"};
-  const auto result = AnalyzeProject({file}, NoDesign());
+  const auto result = AnalyzeProject({file}, ProjectOptions{});
   ASSERT_EQ(result.findings.size(), 2u);
   EXPECT_NE(result.findings[0].id, result.findings[1].id);
 }
@@ -291,7 +225,7 @@ TEST(ProjectTest, BaselineRoundTripAddSuppressResurface) {
   const SourceFile file = {"src/core/a.cc",
                            "void A(R* r) { r->GetCounter(\"bad name\"); }\n"};
   // 1. The finding surfaces.
-  auto result = AnalyzeProject({file}, NoDesign());
+  auto result = AnalyzeProject({file}, ProjectOptions{});
   ASSERT_EQ(result.findings.size(), 1u);
   EXPECT_FALSE(result.findings[0].baselined);
 
@@ -305,7 +239,7 @@ TEST(ProjectTest, BaselineRoundTripAddSuppressResurface) {
   ASSERT_EQ(parsed.entries.size(), 1u);
   EXPECT_EQ(parsed.entries[0].justification, accepted.entries[0].justification);
 
-  result = AnalyzeProject({file}, NoDesign());
+  result = AnalyzeProject({file}, ProjectOptions{});
   ApplyBaseline(parsed, "tools/simlint/baseline.json", &result);
   ASSERT_EQ(result.findings.size(), 1u);
   EXPECT_TRUE(result.findings[0].baselined);
@@ -314,7 +248,7 @@ TEST(ProjectTest, BaselineRoundTripAddSuppressResurface) {
   //    and the old entry reports stale.
   const SourceFile edited = {"src/core/a.cc",
                              "void A(R* r) { r->GetCounter(\"bad renamed\"); }\n"};
-  auto result2 = AnalyzeProject({edited}, NoDesign());
+  auto result2 = AnalyzeProject({edited}, ProjectOptions{});
   ApplyBaseline(parsed, "tools/simlint/baseline.json", &result2);
   ASSERT_EQ(result2.findings.size(), 2u);
   const auto fresh = FindingsFor(result2, "metric-name-audit");
@@ -328,7 +262,7 @@ TEST(ProjectTest, BaselineRoundTripAddSuppressResurface) {
 TEST(ProjectTest, UnjustifiedBaselineEntryIsAFindingAndNotHonored) {
   const SourceFile file = {"src/core/a.cc",
                            "void A(R* r) { r->GetCounter(\"bad name\"); }\n"};
-  auto result = AnalyzeProject({file}, NoDesign());
+  auto result = AnalyzeProject({file}, ProjectOptions{});
   const Baseline empty_just = BaselineFromFindings(result);
   ApplyBaseline(empty_just, "tools/simlint/baseline.json", &result);
   // The original finding is NOT baselined, and the entry itself is flagged.
@@ -356,8 +290,8 @@ TEST(ProjectTest, FindingsJsonIsByteDeterministicAcrossInputOrder) {
   };
   std::vector<SourceFile> reversed = forward;
   std::reverse(reversed.begin(), reversed.end());
-  const std::string j1 = FindingsJson(AnalyzeProject(forward, NoDesign()));
-  const std::string j2 = FindingsJson(AnalyzeProject(reversed, NoDesign()));
+  const std::string j1 = FindingsJson(AnalyzeProject(forward, ProjectOptions{}));
+  const std::string j2 = FindingsJson(AnalyzeProject(reversed, ProjectOptions{}));
   EXPECT_EQ(j1, j2);
   EXPECT_NE(j1.find("\"schema\": \"simlint-v2\""), std::string::npos);
   EXPECT_NE(j1.find("\"counts\": {\"total\": 2, \"new\": 2, \"baselined\": 0}"),
@@ -367,13 +301,13 @@ TEST(ProjectTest, FindingsJsonIsByteDeterministicAcrossInputOrder) {
 TEST(ProjectTest, GithubAnnotationsSkipBaselinedFindings) {
   const SourceFile file = {"src/core/a.cc",
                            "void A(R* r) { r->GetCounter(\"bad name\"); }\n"};
-  auto result = AnalyzeProject({file}, NoDesign());
+  auto result = AnalyzeProject({file}, ProjectOptions{});
   Baseline accepted = BaselineFromFindings(result);
   accepted.entries[0].justification = "accepted";
   ApplyBaseline(accepted, "baseline.json", &result);
   EXPECT_EQ(GithubAnnotations(result), "");
 
-  auto fresh = AnalyzeProject({file}, NoDesign());
+  auto fresh = AnalyzeProject({file}, ProjectOptions{});
   const std::string annotations = GithubAnnotations(fresh);
   EXPECT_NE(annotations.find("::error file=src/core/a.cc,line=1::[simlint:"),
             std::string::npos);

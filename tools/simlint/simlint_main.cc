@@ -16,8 +16,8 @@
 //                        <root>/tools/simlint/baseline.json when it exists.
 //   --write-baseline     Rewrite the baseline to cover all current findings
 //                        (justifications left empty for the author to fill).
-//   --list-metrics       Print the metric inventory as markdown table rows
-//                        (paste into DESIGN.md §7) and exit.
+//   --list-metrics       Print the metric inventory, read from the metric
+//                        lists in src/, as a markdown table and exit.
 //   --stats              Per-phase timing + counts on stderr.
 //   --budget-ms=N        Exit nonzero when the whole run exceeds N ms (the
 //                        lint must never become the bottleneck).
@@ -125,13 +125,6 @@ int Run(const Args& args) {
 
   ProjectOptions options;
   options.project_rules = scanned_src;
-  const fs::path design_path = fs::path(args.root) / "DESIGN.md";
-  if (scanned_src && fs::exists(design_path)) {
-    if (!ReadFile(design_path, &options.design_md)) {
-      std::fprintf(stderr, "simlint: cannot read %s\n", design_path.string().c_str());
-      return 2;
-    }
-  }
 
   const auto t_read = Clock::now();
   ProjectResult result = AnalyzeProject(files, options);
